@@ -35,7 +35,6 @@ from .noise_estimator import (
     EigenSpectrum,
     EstimationFailure,
     NoiseEstimate,
-    ecdf,
     eigenvalues_hermitian,
     estimate_noise,
     goodness_of_fit,
@@ -47,7 +46,6 @@ from .noise_estimator import (
 from .signal_model import (
     Hypothesis,
     SampleFrame,
-    ScenarioSpec,
     add_awgn,
     derive_seed,
     frame,
@@ -64,7 +62,6 @@ __all__ = [
     "NoiseEstimate",
     "PointResult",
     "SampleFrame",
-    "ScenarioSpec",
     "SensingDecision",
     "SweepResult",
     "ThresholdMode",
@@ -76,7 +73,6 @@ __all__ = [
     "decide",
     "derive_seed",
     "dynamic_threshold",
-    "ecdf",
     "eigenvalues_hermitian",
     "energy_statistic",
     "estimate_noise",

@@ -1,9 +1,9 @@
 """Blind noise-variance estimation from sample-covariance eigenvalues.
 
 Pipeline: frame the received stream into L x N snapshots, form the sample
-covariance, extract its eigenvalues with a cyclic Jacobi sweep, split
-signal from noise eigenvalues with the minimum-description-length (MDL)
-rule, bound the noise variance from the spectrum edges, then pick the
+covariance, take its eigenvalues with LAPACK (``numpy.linalg.eigvalsh``),
+split signal from noise eigenvalues with the minimum-description-length
+(MDL) rule, bound the noise variance from the spectrum edges, then pick the
 candidate variance whose Marchenko-Pastur distribution best matches the
 empirical distribution of the noise eigenvalues.
 """
@@ -21,7 +21,6 @@ __all__ = [
     "EigenSpectrum",
     "EstimationFailure",
     "NoiseEstimate",
-    "ecdf",
     "eigenvalues_hermitian",
     "estimate_noise",
     "goodness_of_fit",
@@ -34,9 +33,6 @@ __all__ = [
 # Floor applied inside logarithms so an exactly-zero eigenvalue cannot
 # produce -inf in the MDL criterion.
 _LOG_FLOOR = 1e-300
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 class EstimationFailure(RuntimeError):
@@ -113,74 +109,18 @@ def sample_covariance(frm: SampleFrame) -> CovarianceMatrix:
     return CovarianceMatrix(entries=cov, n_snapshots=frm.n)
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.sqrt(np.sum(np.abs(a[mask]) ** 2)))
-
-
 def eigenvalues_hermitian(cov: CovarianceMatrix) -> EigenSpectrum:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a Hermitian positive semidefinite matrix, descending.
 
-    Each rotation zeroes one off-diagonal pair; sweeps repeat until the
-    off-diagonal Frobenius norm falls below 1e-12 of the matrix norm.
     Tiny negative eigenvalues produced by rounding are clamped to zero;
     anything more negative than ``-1e-10 * trace`` is rejected because the
     input was supposed to be positive semidefinite.
-
-    Raises:
-        RuntimeError: if the sweep budget is exhausted before convergence.
     """
-    a = np.array(cov.entries, dtype=np.complex128)
-    size = a.shape[0]
-    norm = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    if norm == 0.0:
-        return EigenSpectrum(values=(0.0,) * size)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= _JACOBI_TOL * norm:
-            break
-        _jacobi_sweep(a)
-    if _off_diagonal_norm(a) > _JACOBI_TOL * norm:
-        raise RuntimeError(
-            f"Jacobi sweep did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    eigs = np.sort(a.diagonal().real)[::-1]
+    eigs = np.linalg.eigvalsh(cov.entries)[::-1]
     trace = float(np.trace(cov.entries).real)
     if eigs[-1] < -1e-10 * max(trace, 1e-300):
         raise ValueError("matrix is not positive semidefinite")
     return EigenSpectrum(values=tuple(float(max(x, 0.0)) for x in eigs))
-
-
-def _jacobi_sweep(a: np.ndarray) -> None:
-    """One cyclic sweep of plane rotations over all off-diagonal pairs."""
-    size = a.shape[0]
-    for p in range(size - 1):
-        for q in range(p + 1, size):
-            apq = a[p, q]
-            r = abs(apq)
-            if r == 0.0:
-                continue
-            app = a[p, p].real
-            aqq = a[q, q].real
-            # Phase factor makes the pivot real; then a plane rotation
-            # by phi zeroes it, exactly as in the real symmetric case.
-            u = apq.conjugate() / r
-            phi = 0.5 * math.atan2(2.0 * r, aqq - app)
-            c = math.cos(phi)
-            s = math.sin(phi)
-            col_p = a[:, p].copy()
-            col_q = a[:, q].copy()
-            a[:, p] = c * col_p - s * (u * col_q)
-            a[:, q] = s * col_p + c * (u * col_q)
-            row_p = a[p, :].copy()
-            row_q = a[q, :].copy()
-            a[p, :] = c * row_p - s * (u.conjugate() * row_q)
-            a[q, :] = s * row_p + c * (u.conjugate() * row_q)
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
 
 
 def mdl_signal_count(spectrum: EigenSpectrum, n_snapshots: int) -> int:
@@ -311,14 +251,6 @@ def mp_cdf(z: float, p: float, sigma2: float) -> float:
     return float(_mp_cdf_unit(np.array([z / sigma2]), p)[0])
 
 
-def ecdf(points: np.ndarray, t: float) -> float:
-    """Empirical CDF of ``points`` at ``t``: fraction of values <= t."""
-    pts = np.sort(np.asarray(points, dtype=np.float64))
-    if pts.size == 0:
-        raise ValueError("ecdf needs at least one point")
-    return float(np.searchsorted(pts, t, side="right")) / pts.size
-
-
 def _plotting_positions(eigs: np.ndarray) -> np.ndarray:
     """Midpoint (Hazen) empirical CDF values ``(rank - 0.5) / n``.
 
@@ -338,14 +270,24 @@ def goodness_of_fit(noise_eigs: np.ndarray, p_eff: float, sigma2: float) -> floa
     """Euclidean distance between the empirical distribution of the noise
     eigenvalues (midpoint plotting positions) and the Marchenko-Pastur CDF
     with variance ``sigma2``."""
-    eigs = np.asarray(noise_eigs, dtype=np.float64)
-    if eigs.size == 0:
+    if np.size(noise_eigs) == 0:
         raise ValueError("need at least one noise eigenvalue")
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
+    return float(_fit_scores(noise_eigs, p_eff, np.array([sigma2]))[0])
+
+
+def _fit_scores(noise_eigs: np.ndarray, p_eff: float, grid: np.ndarray) -> np.ndarray:
+    """Goodness-of-fit against every candidate variance in one pass.
+
+    Vectorizes the Marchenko-Pastur evaluation over (candidate, eigenvalue)
+    pairs; row ``i`` is the fit score of candidate ``grid[i]``.
+    """
+    eigs = np.asarray(noise_eigs, dtype=np.float64)
     empirical = _plotting_positions(eigs)
-    model = _mp_cdf_unit(eigs / sigma2, p_eff)
-    return float(np.sqrt(np.sum((empirical - model) ** 2)))
+    scaled = eigs[None, :] / grid[:, None]
+    model = _mp_cdf_unit(scaled, p_eff)
+    return np.sqrt(np.sum((empirical[None, :] - model) ** 2, axis=1))
 
 
 def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
@@ -353,11 +295,13 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
 
     Runs the covariance -> eigenvalues -> MDL split -> support bounds ->
     Marchenko-Pastur fit pipeline and returns the candidate variance with
-    the best fit (smallest grid value on ties).
+    the best fit (smallest grid value on ties).  When the bounds coincide
+    the grid is that one point and ``degenerate_grid`` is set.
 
     Raises:
         EstimationFailure: when MDL attributes all but one eigenvalue to
-            signal, leaving nothing to fit the noise model against.
+            signal, leaving nothing to fit the noise model against, or when
+            the smallest eigenvalue is zero, leaving no noise floor.
         ValueError: if the frame is not strictly wider than tall or the
             grid has fewer than two candidates.
     """
@@ -377,26 +321,12 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
 
     lam = np.array(spectrum.values)
     lo, hi = sigma_bounds(float(lam[-1]), float(lam[k_hat]), k_hat, l, n)
+    if lo == 0.0:
+        raise EstimationFailure("smallest eigenvalue is zero: no noise floor to fit")
     beta_hat = k_hat / l
     p_ratio = l / n
-    p_eff = (1.0 - beta_hat) * p_ratio
-    noise_eigs = lam[k_hat:]
-
-    if lo == hi:
-        score = goodness_of_fit(noise_eigs, p_eff, lo)
-        return NoiseEstimate(
-            sigma_hat2=lo,
-            k_hat=k_hat,
-            beta_hat=beta_hat,
-            sigma_lo2=lo,
-            sigma_hi2=hi,
-            fit_scores=(score,),
-            p_ratio=p_ratio,
-            degenerate_grid=True,
-        )
-
-    grid = np.linspace(lo, hi, m_grid)
-    scores = _fit_scores(noise_eigs, p_eff, grid)
+    grid = np.linspace(lo, hi, m_grid if hi > lo else 1)
+    scores = _fit_scores(lam[k_hat:], (1.0 - beta_hat) * p_ratio, grid)
     best = int(np.argmin(scores))
     return NoiseEstimate(
         sigma_hat2=float(grid[best]),
@@ -406,18 +336,5 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
         sigma_hi2=hi,
         fit_scores=tuple(float(s) for s in scores),
         p_ratio=p_ratio,
-        degenerate_grid=False,
+        degenerate_grid=lo == hi,
     )
-
-
-def _fit_scores(noise_eigs: np.ndarray, p_eff: float, grid: np.ndarray) -> np.ndarray:
-    """Goodness-of-fit against every candidate variance in one pass.
-
-    Vectorizes the Marchenko-Pastur evaluation over (candidate, eigenvalue)
-    pairs; each row reproduces ``goodness_of_fit`` for that candidate.
-    """
-    eigs = np.asarray(noise_eigs, dtype=np.float64)
-    empirical = _plotting_positions(eigs)
-    scaled = eigs[None, :] / grid[:, None]
-    model = _mp_cdf_unit(scaled, p_eff)
-    return np.sqrt(np.sum((empirical[None, :] - model) ** 2, axis=1))

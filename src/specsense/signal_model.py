@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "Hypothesis",
     "SampleFrame",
-    "ScenarioSpec",
     "add_awgn",
     "derive_seed",
     "frame",
@@ -168,47 +167,3 @@ def snr_db(sigma_s2: float, sigma_w2: float) -> float:
         raise ValueError("variances must be positive")
     return 10.0 * math.log10(sigma_s2 / sigma_w2)
 
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One synthesized sensing scenario.
-
-    Attributes:
-        sigma_s2: transmit power under H1 (ignored under H0).
-        sigma_w2: total complex noise variance.
-        hypothesis: whether the primary user is transmitting.
-        seed: master seed for this scenario.
-        n_samples: stream length to synthesize.
-        samples_per_symbol: QPSK oversampling factor under H1.
-    """
-
-    sigma_s2: float
-    sigma_w2: float
-    hypothesis: Hypothesis
-    seed: int
-    n_samples: int
-    samples_per_symbol: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sigma_w2 <= 0.0:
-            raise ValueError("sigma_w2 must be positive")
-        if self.hypothesis is Hypothesis.H1 and self.sigma_s2 <= 0.0:
-            raise ValueError("sigma_s2 must be positive under H1")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-
-    def synthesize(self) -> np.ndarray:
-        """Realize the received stream for this scenario.
-
-        Signal and noise use separate sub-seeds derived from ``seed``, so
-        the same noise realization underlies both hypotheses.
-        """
-        signal_seed = derive_seed(self.seed, 0)
-        noise_seed = derive_seed(self.seed, 1)
-        if self.hypothesis is Hypothesis.H1:
-            x = generate_qpsk(
-                self.n_samples, self.sigma_s2, signal_seed, self.samples_per_symbol
-            )
-        else:
-            x = np.zeros(self.n_samples, dtype=np.complex128)
-        return add_awgn(x, self.sigma_w2, noise_seed)

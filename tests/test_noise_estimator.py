@@ -1,6 +1,8 @@
 """Tests of the blind noise-power estimation pipeline."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     charpoly_eigs,
@@ -14,7 +16,6 @@ from specsense.noise_estimator import (
     CovarianceMatrix,
     EigenSpectrum,
     EstimationFailure,
-    ecdf,
     eigenvalues_hermitian,
     estimate_noise,
     goodness_of_fit,
@@ -110,6 +111,19 @@ def test_eigenvalues_recover_planted_spectrum():
     m = planted_spectrum_matrix(rng, planted)
     cov = CovarianceMatrix(entries=m, n_snapshots=12)
     np.testing.assert_allclose(eigenvalues_hermitian(cov).values, planted, atol=1e-10)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    planted=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=16),
+)
+def test_eigenvalues_recover_planted_spectrum_up_to_l16(seed, planted):
+    planted = np.sort(planted)[::-1]
+    m = planted_spectrum_matrix(np.random.default_rng(seed), planted)
+    cov = CovarianceMatrix(entries=m, n_snapshots=2 * planted.size)
+    np.testing.assert_allclose(eigenvalues_hermitian(cov).values, planted,
+                               atol=1e-10 * max(1.0, planted[0]))
 
 
 def test_eigenvalue_trace_identity():
@@ -230,18 +244,6 @@ def test_mp_cdf_rejects_bad_args():
         mp_cdf(1.0, 0.25, 0.0)
 
 
-# ------------------------------------------------------------------- ECDF
-
-
-def test_ecdf_right_continuous():
-    pts = np.array([1.0, 2.0, 2.0, 3.0])
-    assert ecdf(pts, 0.5) == 0.0
-    assert ecdf(pts, 1.0) == 0.25  # counts values <= t
-    assert ecdf(pts, 2.0) == 0.75
-    assert ecdf(pts, 2.5) == 0.75
-    assert ecdf(pts, 3.0) == 1.0
-
-
 # ---------------------------------------------------------- goodness of fit
 
 
@@ -312,6 +314,24 @@ def test_estimate_noise_scale_equivariance_exact():
     assert est4.k_hat == est1.k_hat
 
 
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    l=st.sampled_from([4, 8, 16]),
+    k=st.integers(-40, 40),
+    sigma_s2=st.sampled_from([0.0, 4.0]),
+)
+def test_estimate_noise_power_of_two_scale_equivariance(seed, l, k, sigma_s2):
+    f = _noise_frame(l, 16 * l, 1.0, seed)
+    if sigma_s2:  # a rank-1 signal makes k_hat > 0
+        signal = generate_qpsk(l * f.n, sigma_s2, seed, samples_per_symbol=l)
+        f = SampleFrame(data=f.data + frame(signal, l, f.n).data)
+    est = estimate_noise(f)
+    scaled = estimate_noise(SampleFrame(data=f.data * 2.0**k))
+    assert scaled.sigma_hat2 == 4.0**k * est.sigma_hat2
+    assert scaled.k_hat == est.k_hat
+
+
 def test_estimate_noise_flags_single_dominant_signal():
     noise = add_awgn(np.zeros(8 * 256, dtype=np.complex128), 1.0, 91)
     signal = generate_qpsk(8 * 256, 10.0, 92, samples_per_symbol=8)
@@ -349,6 +369,15 @@ def test_estimate_noise_rejects_saturated_rank():
     data += add_awgn(np.zeros(l * n, dtype=np.complex128), 1e-4, 62).reshape(l, n)
     with pytest.raises(EstimationFailure):
         estimate_noise(SampleFrame(data=data), m_grid=50)
+
+
+def test_estimate_noise_rejects_zero_noise_floor():
+    # no noise at all leaves a zero smallest eigenvalue and no noise floor
+    silent = SampleFrame(data=np.zeros((8, 128), dtype=np.complex128))
+    rank1 = frame(generate_qpsk(8 * 128, 1.0, 5, samples_per_symbol=8), 8, 128)
+    for f in (silent, rank1):
+        with pytest.raises(EstimationFailure):
+            estimate_noise(f, m_grid=100)
 
 
 def test_estimate_noise_validates_arguments():

@@ -3,9 +3,7 @@ import numpy as np
 import pytest
 
 from specsense.signal_model import (
-    Hypothesis,
     SampleFrame,
-    ScenarioSpec,
     add_awgn,
     derive_seed,
     frame,
@@ -134,28 +132,3 @@ def test_snr_db():
     with pytest.raises(ValueError):
         snr_db(1.0, 0.0)
 
-
-def test_scenario_h0_is_pure_noise():
-    spec = ScenarioSpec(
-        sigma_s2=1.0, sigma_w2=2.0, hypothesis=Hypothesis.H0, seed=77, n_samples=4096
-    )
-    y = spec.synthesize()
-    assert y.shape == (4096,)
-    np.testing.assert_allclose(np.mean(np.abs(y) ** 2), 2.0, rtol=0.05)
-
-
-def test_scenario_h1_adds_signal_power():
-    kwargs = dict(sigma_s2=3.0, sigma_w2=2.0, seed=77, n_samples=8192)
-    y0 = ScenarioSpec(hypothesis=Hypothesis.H0, **kwargs).synthesize()
-    y1 = ScenarioSpec(hypothesis=Hypothesis.H1, **kwargs).synthesize()
-    # shared noise substream: the difference is exactly the signal
-    diff = y1 - y0
-    np.testing.assert_allclose(np.abs(diff) ** 2, 3.0, rtol=1e-10)
-    np.testing.assert_allclose(np.mean(np.abs(y1) ** 2), 5.0, rtol=0.05)
-
-
-def test_scenario_is_deterministic():
-    spec = ScenarioSpec(
-        sigma_s2=1.0, sigma_w2=1.0, hypothesis=Hypothesis.H1, seed=5, n_samples=256
-    )
-    np.testing.assert_array_equal(spec.synthesize(), spec.synthesize())
