@@ -15,18 +15,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .detector import (
-    EnergyStatistic,
     ThresholdMode,
     Verdict,
     decide,
     dynamic_threshold,
+    energy_statistic,
     static_threshold,
 )
 from .harness import (
     SweepResult,
     TrialPlan,
     _synthesize_pair,
-    _trial_statistic,
     run_point,
     sweep_pfa,
     sweep_snr,
@@ -323,18 +322,18 @@ def _single_frame(res: _Resolved, default_hypothesis: Hypothesis):
 
 def _cmd_sense(res: _Resolved) -> int:
     plan, stream, _ = _single_frame(res, Hypothesis.H1)
-    statistic = _trial_statistic(stream, plan.n)
+    statistic = energy_statistic(stream[: plan.n])
     if plan.mode is ThresholdMode.DYNAMIC:
         estimate = estimate_noise(frame(stream, plan.l, plan.n), plan.m_grid)
         threshold = dynamic_threshold(estimate.sigma_hat2, plan.target_pfa, plan.n)
-        _emit("statistic", statistic)
+        _emit("statistic", statistic.value)
         _emit("threshold", threshold)
         _emit("sigma_hat2", estimate.sigma_hat2)
     else:
         threshold = static_threshold(plan.sigma_nominal2, plan.target_pfa, plan.n)
-        _emit("statistic", statistic)
+        _emit("statistic", statistic.value)
         _emit("threshold", threshold)
-    decision = decide(EnergyStatistic(value=statistic, n=plan.n), threshold)
+    decision = decide(statistic, threshold)
     _emit(
         "verdict",
         "present" if decision.verdict is Verdict.PRESENT_H1 else "absent",

@@ -1,7 +1,7 @@
 """Energy detection: test statistic, Gaussian tail machinery, thresholds.
 
-The detector sums squared sample magnitudes over an observation window and
-compares the total against a threshold calibrated for a target false-alarm
+The detector sums the energy of the in-phase rail over an observation window
+and compares the total against a threshold calibrated for a target false-alarm
 probability.  The threshold can be *static* (computed once from an assumed
 nominal noise power) or *dynamic* (recomputed from a blind noise-variance
 estimate each sensing interval).
@@ -58,12 +58,18 @@ class SensingDecision:
 
 
 def energy_statistic(samples: np.ndarray) -> EnergyStatistic:
-    """Sum of squared magnitudes over the whole window (no averaging)."""
+    """Energy of the window at the real-sample convention the thresholds assume.
+
+    Sums ``2 Re(x)^2`` over the window.  Under H0 each term is a real
+    Gaussian square with mean sigma_w2 and variance 2 sigma_w2^2, so the
+    total has the mean ``N sigma_w2`` and variance ``2 N sigma_w2^2`` that
+    :func:`dynamic_threshold` and the closed forms are calibrated for.
+    """
     samples = np.asarray(samples)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
-    value = float(np.sum(np.abs(samples) ** 2))
-    return EnergyStatistic(value=value, n=samples.size)
+    block = samples.real
+    return EnergyStatistic(float(np.sum(2.0 * block * block)), samples.size)
 
 
 def q_function(x: float) -> float:

@@ -15,7 +15,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .detector import ThresholdMode, dynamic_threshold, static_threshold
+from .detector import ThresholdMode, dynamic_threshold, energy_statistic, static_threshold
 from .noise_estimator import EstimationFailure, estimate_noise
 from .signal_model import Hypothesis, add_awgn, derive_seed, frame, generate_qpsk
 
@@ -121,17 +121,6 @@ class SweepResult:
     points: tuple[PointResult, ...]
 
 
-def _trial_statistic(samples: np.ndarray, n: int) -> float:
-    """Energy of the detector window at the real-sample convention.
-
-    Takes the scaled in-phase rail of the first ``n`` complex samples;
-    each term is a real Gaussian of variance sigma_w2 under H0, so the
-    total follows the chi-square law the closed forms approximate.
-    """
-    block = samples[:n].real
-    return float(np.sum(2.0 * block * block))
-
-
 def _synthesize_pair(plan: TrialPlan, trial: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Generate the (H1 stream, H0 stream, true noise power) for a trial.
 
@@ -188,9 +177,9 @@ def _run_chunk(plan: TrialPlan, start: int, stop: int) -> tuple[int, int, int, f
             lambda_h1 = dynamic_threshold(est1.sigma_hat2, plan.target_pfa, plan.n)
             lambda_h0 = dynamic_threshold(est0.sigma_hat2, plan.target_pfa, plan.n)
             sigma_sum += est1.sigma_hat2 + est0.sigma_hat2
-        if _trial_statistic(y1, plan.n) > lambda_h1:
+        if energy_statistic(y1[: plan.n]).value > lambda_h1:
             det_h1 += 1
-        if _trial_statistic(y0, plan.n) > lambda_h0:
+        if energy_statistic(y0[: plan.n]).value > lambda_h0:
             det_h0 += 1
         completed += 1
     return det_h1, det_h0, failed, sigma_sum, completed

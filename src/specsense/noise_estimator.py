@@ -5,7 +5,9 @@ covariance, take its eigenvalues with LAPACK (``numpy.linalg.eigvalsh``),
 split signal from noise eigenvalues with the minimum-description-length
 (MDL) rule, bound the noise variance from the spectrum edges, then pick the
 candidate variance whose Marchenko-Pastur distribution best matches the
-empirical distribution of the noise eigenvalues.
+empirical distribution of the noise eigenvalues.  The Marchenko-Pastur CDF
+is evaluated in closed form from the analytic antiderivative of its
+density, so the fit needs no numerical integration.
 """
 from __future__ import annotations
 
@@ -188,49 +190,32 @@ def sigma_bounds(
 
 # --- Marchenko-Pastur distribution ---------------------------------------
 
-_GL_ORDERS = (24, 48, 96, 192, 384)
-_GL_ABS_TOL = 2.5e-9
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
-
-
 def _mp_cdf_unit(z: np.ndarray, p: float) -> np.ndarray:
     """Marchenko-Pastur CDF at unit variance, vectorized over ``z``.
 
-    The density ``sqrt((z-a)(b-z)) / (2 pi p z)`` on ``[a, b]`` with
-    ``a = (1-sqrt(p))^2`` and ``b = (1+sqrt(p))^2`` has square-root
-    endpoint behaviour; substituting ``z = a + (b-a) sin^2(theta)`` turns
-    the mass below each point into an analytic integrand that fixed-order
-    Gauss-Legendre handles to near machine precision.  The order is
-    escalated until two successive estimates agree within 2.5e-9.
+    The density ``sqrt((b-z)(z-a)) / (2 pi p z)`` on ``[a, b]`` with
+    ``a = (1-sqrt(p))^2`` and ``b = (1+sqrt(p))^2`` has the elementary
+    antiderivative (Marchenko & Pastur 1967; Bai & Silverstein 2010, ch. 3)
+
+        F(z) = 1/2 + [R + (1+p) atan2(z-(1+p), R)
+                      - (1-p) atan2((1+p) z - (1-p)^2, (1-p) R)] / (2 pi p)
+
+    with ``R = sqrt((b-z)(z-a))``.  The ``atan2`` form stays well
+    conditioned at both edges, where ``R`` vanishes and the arcsine form
+    loses digits; F is 0 for ``z <= a`` and 1 for ``z >= b``.
     """
     root = math.sqrt(p)
     a = (1.0 - root) ** 2
     b = (1.0 + root) ** 2
     z = np.asarray(z, dtype=np.float64)
-    frac = np.clip((z - a) / (b - a), 0.0, 1.0)
-    theta_c = np.arcsin(np.sqrt(frac))  # upper integration limit, in [0, pi/2]
-
-    scale = (b - a) ** 2 / (4.0 * math.pi * p)
-    prev: np.ndarray | None = None
-    result = np.zeros_like(theta_c)
-    for order in _GL_ORDERS:
-        nodes, weights = _gl_nodes(order)
-        # map [-1, 1] -> [0, theta_c] per evaluation point
-        half = 0.5 * theta_c[..., None]
-        theta = half * (nodes + 1.0)
-        zz = a + (b - a) * np.sin(theta) ** 2
-        integrand = np.sin(2.0 * theta) ** 2 / zz
-        result = scale * half[..., 0] * np.sum(weights * integrand, axis=-1)
-        if prev is not None and float(np.max(np.abs(result - prev))) <= _GL_ABS_TOL:
-            break
-        prev = result
-    out = np.clip(result, 0.0, 1.0)
+    r = np.sqrt(np.maximum((b - z) * (z - a), 0.0))
+    q = 1.0 - p
+    total = (
+        r
+        + (1.0 + p) * np.arctan2(z - (1.0 + p), r)
+        - q * np.arctan2((1.0 + p) * z - q * q, q * r)
+    )
+    out = np.clip(0.5 + total / (2.0 * math.pi * p), 0.0, 1.0)
     out = np.where(z <= a, 0.0, out)
     out = np.where(z >= b, 1.0, out)
     return out

@@ -87,7 +87,9 @@ def mp_cdf_quad(z: float, p: float, sigma2: float) -> float:
         inside = max((t - a) * (b - t), 0.0)
         return np.sqrt(inside) / (2.0 * np.pi * p * sigma2 * t)
 
-    value, _ = quad(density, a, z, limit=400)
+    # tolerances tighter than quad's default 1.5e-8, which leaves up to
+    # 7.5e-9 of error next to the upper edge
+    value, _ = quad(density, a, z, limit=400, epsabs=1e-12, epsrel=1e-12)
     return float(value)
 
 

@@ -16,6 +16,7 @@ from specsense.detector import (
     q_inverse,
     static_threshold,
 )
+from specsense.signal_model import add_awgn
 
 # Frozen from an independent statistics library (standard normal isf),
 # regenerable with scipy.stats.norm.isf(p).
@@ -101,8 +102,21 @@ def test_threshold_rejects_bad_args():
 def test_energy_statistic_hand_value():
     samples = np.array([1 + 1j, -2.0, 0.5j], dtype=np.complex128)
     stat = energy_statistic(samples)
-    np.testing.assert_allclose(stat.value, 2.0 + 4.0 + 0.25, rtol=1e-15)
+    # 2 Re(x)^2 summed: 2 * (1 + 4 + 0)
+    np.testing.assert_allclose(stat.value, 10.0, rtol=1e-15)
     assert stat.n == 3
+
+
+def test_public_recipe_hits_target_pfa():
+    # add_awgn -> energy_statistic -> dynamic_threshold -> decide at the true
+    # noise power, over pure-noise windows: Pfa within 4.5 standard errors
+    target, n, trials = 0.1, 128, 4000
+    threshold = dynamic_threshold(1.0, target, n)
+    alarms = 0
+    for seed in range(trials):
+        window = add_awgn(np.zeros(n, np.complex128), 1.0, seed)
+        alarms += decide(energy_statistic(window), threshold).verdict is Verdict.PRESENT_H1
+    assert abs(alarms / trials - target) <= 4.5 * math.sqrt(target * (1 - target) / trials)
 
 
 def test_energy_statistic_rejects_empty():

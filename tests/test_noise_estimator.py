@@ -16,6 +16,7 @@ from specsense.noise_estimator import (
     CovarianceMatrix,
     EigenSpectrum,
     EstimationFailure,
+    _mp_cdf_unit,
     eigenvalues_hermitian,
     estimate_noise,
     goodness_of_fit,
@@ -226,6 +227,40 @@ def test_mp_cdf_total_mass_and_monotonicity():
             assert abs(vals[-1] - 1.0) <= 1e-6
             assert np.all(np.diff(vals) >= -1e-12)
             assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=st.floats(1e-3, 0.99))
+def test_mp_cdf_matches_quadrature_next_to_support_edges(p):
+    a = (1 - np.sqrt(p)) ** 2
+    b = (1 + np.sqrt(p)) ** 2
+    for k in range(3, 13):
+        for z in (a * (1 + 10.0**-k), b * (1 - 10.0**-k)):
+            expected = mp_cdf_quad(z, p, 1.0)
+            np.testing.assert_allclose(mp_cdf(z, p, 1.0), expected, atol=1e-8)
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=st.floats(1e-3, 0.99))
+def test_mp_cdf_non_decreasing_on_dense_grid(p):
+    a = (1 - np.sqrt(p)) ** 2
+    b = (1 + np.sqrt(p)) ** 2
+    grid = np.linspace(a - 0.01 * (b - a), b + 0.01 * (b - a), 20001)
+    vals = _mp_cdf_unit(grid, p)  # the vectorized path the fit evaluates
+    assert np.all(np.diff(vals) >= 0.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=st.floats(1e-3, 0.99), u=st.floats(0.05, 0.95))
+def test_mp_cdf_central_difference_matches_density(p, u):
+    # a quadrature-free oracle: dF/dz must equal the MP density
+    a = (1 - np.sqrt(p)) ** 2
+    b = (1 + np.sqrt(p)) ** 2
+    z = a + u * (b - a)
+    h = 1e-4 * (b - a)
+    slope = (mp_cdf(z + h, p, 1.0) - mp_cdf(z - h, p, 1.0)) / (2 * h)
+    density = np.sqrt((b - z) * (z - a)) / (2 * np.pi * p * z)
+    np.testing.assert_allclose(slope, density, rtol=1e-6)
 
 
 def test_mp_cdf_scale_equivariance():
