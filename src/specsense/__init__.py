@@ -25,9 +25,11 @@ from .harness import (
     SweepResult,
     TrialPlan,
     run_point,
+    sense_once,
     sweep_pfa,
     sweep_snr,
     sweep_threshold_factor,
+    synthesize_pair,
     write_results,
 )
 from .noise_estimator import (
@@ -37,6 +39,7 @@ from .noise_estimator import (
     NoiseEstimate,
     eigenvalues_hermitian,
     estimate_noise,
+    estimate_noise_batch,
     goodness_of_fit,
     mdl_signal_count,
     mp_cdf,
@@ -76,6 +79,7 @@ __all__ = [
     "eigenvalues_hermitian",
     "energy_statistic",
     "estimate_noise",
+    "estimate_noise_batch",
     "frame",
     "generate_qpsk",
     "goodness_of_fit",
@@ -85,12 +89,14 @@ __all__ = [
     "q_inverse",
     "run_point",
     "sample_covariance",
+    "sense_once",
     "sigma_bounds",
     "snr_db",
     "static_threshold",
     "sweep_pfa",
     "sweep_snr",
     "sweep_threshold_factor",
+    "synthesize_pair",
     "write_results",
 ]
 

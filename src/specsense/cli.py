@@ -14,22 +14,15 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .detector import (
-    ThresholdMode,
-    Verdict,
-    decide,
-    dynamic_threshold,
-    energy_statistic,
-    static_threshold,
-)
+from .detector import ThresholdMode, Verdict
 from .harness import (
     SweepResult,
     TrialPlan,
-    _synthesize_pair,
-    run_point,
+    sense_once,
     sweep_pfa,
     sweep_snr,
     sweep_threshold_factor,
+    synthesize_pair,
     write_results,
 )
 from .noise_estimator import EstimationFailure, estimate_noise
@@ -310,30 +303,19 @@ def _emit(key: str, value: object) -> None:
     print(f"{key}={rendered}")
 
 
-def _single_frame(res: _Resolved, default_hypothesis: Hypothesis):
+def _single_plan(res: _Resolved, default_hypothesis: Hypothesis) -> TrialPlan:
     hyp = default_hypothesis
     if res.hypothesis is not None:
         hyp = Hypothesis.H1 if res.hypothesis == "h1" else Hypothesis.H0
-    plan = _build_plan(res, hyp)
-    y1, y0, sigma_true = _synthesize_pair(plan, 0)
-    stream = y1 if hyp is Hypothesis.H1 else y0
-    return plan, stream, sigma_true
+    return _build_plan(res, hyp)
 
 
 def _cmd_sense(res: _Resolved) -> int:
-    plan, stream, _ = _single_frame(res, Hypothesis.H1)
-    statistic = energy_statistic(stream[: plan.n])
-    if plan.mode is ThresholdMode.DYNAMIC:
-        estimate = estimate_noise(frame(stream, plan.l, plan.n), plan.m_grid)
-        threshold = dynamic_threshold(estimate.sigma_hat2, plan.target_pfa, plan.n)
-        _emit("statistic", statistic.value)
-        _emit("threshold", threshold)
+    decision, estimate = sense_once(_single_plan(res, Hypothesis.H1))
+    _emit("statistic", decision.statistic)
+    _emit("threshold", decision.threshold)
+    if estimate is not None:
         _emit("sigma_hat2", estimate.sigma_hat2)
-    else:
-        threshold = static_threshold(plan.sigma_nominal2, plan.target_pfa, plan.n)
-        _emit("statistic", statistic.value)
-        _emit("threshold", threshold)
-    decision = decide(statistic, threshold)
     _emit(
         "verdict",
         "present" if decision.verdict is Verdict.PRESENT_H1 else "absent",
@@ -342,7 +324,9 @@ def _cmd_sense(res: _Resolved) -> int:
 
 
 def _cmd_estimate_noise(res: _Resolved) -> int:
-    plan, stream, _ = _single_frame(res, Hypothesis.H0)
+    plan = _single_plan(res, Hypothesis.H0)
+    y1, y0, _ = synthesize_pair(plan, 0)
+    stream = y1 if plan.hypothesis is Hypothesis.H1 else y0
     estimate = estimate_noise(frame(stream, plan.l, plan.n), plan.m_grid)
     _emit("sigma_hat2", estimate.sigma_hat2)
     _emit("k_hat", estimate.k_hat)

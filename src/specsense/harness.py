@@ -5,6 +5,15 @@ master seed, so results are bit-for-bit reproducible for any worker count
 and any subset of sweep points.  Detection counts are integers and the
 per-chunk diagnostics are reduced in fixed chunk order, which keeps CSV
 output byte-identical across reruns.
+
+Trials run in chunks of ``_CHUNK`` (the unit of work a worker process
+takes) and, inside a chunk, in blocks of ``_BLOCK``.  A block stacks the
+H1 and H0 streams of its trials and runs each pipeline stage once over the
+stack: the energy statistics, then in dynamic mode one stacked blind noise
+estimate (covariance, eigenvalues, MDL split, Marchenko-Pastur fit).  Each
+row of a stacked stage is bit-for-bit the single-frame result, and the
+noise estimates are summed trial by trial in trial order, so a point's
+result does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -15,8 +24,16 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .detector import ThresholdMode, dynamic_threshold, energy_statistic, static_threshold
-from .noise_estimator import EstimationFailure, estimate_noise
+from .detector import (
+    SensingDecision,
+    ThresholdMode,
+    _energies,
+    decide,
+    dynamic_threshold,
+    energy_statistic,
+    static_threshold,
+)
+from .noise_estimator import NoiseEstimate, estimate_noise, estimate_noise_batch
 from .signal_model import Hypothesis, add_awgn, derive_seed, frame, generate_qpsk
 
 __all__ = [
@@ -24,14 +41,20 @@ __all__ = [
     "SweepResult",
     "TrialPlan",
     "run_point",
+    "sense_once",
     "sweep_pfa",
     "sweep_snr",
     "sweep_threshold_factor",
+    "synthesize_pair",
     "write_results",
 ]
 
 _CI_Z = 2.576  # two-sided 99% normal quantile
 _CHUNK = 128  # trials per work unit; fixed so reductions never reorder
+# Trials per stacked block.  A block saves per-call overhead; on a dynamic
+# point at N=128, L=8, 16-trial blocks ran about 2% faster than 8-trial
+# blocks and raised peak memory about 2.5% more.
+_BLOCK = 8
 
 _ROLE_SIGNAL = 0
 _ROLE_NOISE = 1
@@ -121,11 +144,12 @@ class SweepResult:
     points: tuple[PointResult, ...]
 
 
-def _synthesize_pair(plan: TrialPlan, trial: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Generate the (H1 stream, H0 stream, true noise power) for a trial.
+def synthesize_pair(plan: TrialPlan, trial: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Generate the (H1 stream, H0 stream, true noise power) of one trial.
 
-    The H0 stream is the H1 stream's own noise realization, so comparisons
-    between hypotheses are paired sample-for-sample.
+    Each stream holds ``plan.l * plan.n`` samples.  The H0 stream is the H1
+    stream's own noise realization, so comparisons between hypotheses are
+    paired sample-for-sample.
     """
     n_samples = plan.l * plan.n
     sigma_true = plan.sigma_w2_true
@@ -149,8 +173,35 @@ def _synthesize_pair(plan: TrialPlan, trial: int) -> tuple[np.ndarray, np.ndarra
     return noise.copy(), noise, sigma_true
 
 
+def sense_once(plan: TrialPlan) -> tuple[SensingDecision, NoiseEstimate | None]:
+    """One sensing decision on trial 0 of ``plan``, as a receiver makes it.
+
+    Synthesizes the trial-0 stream of ``plan.hypothesis``, takes the energy
+    statistic of its first ``plan.n`` samples and compares it with the
+    static threshold or, in dynamic mode, with the threshold set from a
+    blind noise estimate of the stream's first frame.  Returns the decision
+    and that estimate (None in static mode).
+
+    Raises:
+        EstimationFailure: in dynamic mode, when the frame yields no estimate.
+    """
+    y1, y0, _ = synthesize_pair(plan, 0)
+    stream = y1 if plan.hypothesis is Hypothesis.H1 else y0
+    statistic = energy_statistic(stream[: plan.n])
+    estimate = None
+    if plan.mode is ThresholdMode.DYNAMIC:
+        estimate = estimate_noise(frame(stream, plan.l, plan.n), plan.m_grid)
+        threshold = dynamic_threshold(estimate.sigma_hat2, plan.target_pfa, plan.n)
+    else:
+        threshold = static_threshold(plan.sigma_nominal2, plan.target_pfa, plan.n)
+    return decide(statistic, threshold), estimate
+
+
 def _run_chunk(plan: TrialPlan, start: int, stop: int) -> tuple[int, int, int, float, int]:
-    """Run trials [start, stop); returns order-independent tallies.
+    """Run trials [start, stop) block by block; returns order-independent tallies.
+
+    A trial fails, and counts in neither rate, when the noise estimate of
+    its H1 or its H0 frame fails.
 
     Returns:
         (h1 detections, h0 detections, failed trials, sum of noise
@@ -158,31 +209,34 @@ def _run_chunk(plan: TrialPlan, start: int, stop: int) -> tuple[int, int, int, f
     """
     det_h1 = 0
     det_h0 = 0
-    failed = 0
     sigma_sum = 0.0
     completed = 0
-    static_lambda = static_threshold(plan.sigma_nominal2, plan.target_pfa, plan.n)
+    dynamic = plan.mode is ThresholdMode.DYNAMIC
+    if dynamic:
+        # dynamic_threshold is linear in the noise power: sigma * this is
+        # bit-for-bit dynamic_threshold(sigma, ...).
+        unit_lambda = dynamic_threshold(1.0, plan.target_pfa, plan.n)
+    else:
+        static_lambda = static_threshold(plan.sigma_nominal2, plan.target_pfa, plan.n)
 
-    for trial in range(start, stop):
-        y1, y0, _ = _synthesize_pair(plan, trial)
-        if plan.mode is ThresholdMode.STATIC:
-            lambda_h1 = lambda_h0 = static_lambda
+    for first in range(start, stop, _BLOCK):
+        trials = range(first, min(first + _BLOCK, stop))
+        # Rows 2i and 2i + 1 are the H1 and H0 streams of trials[i].
+        streams = np.stack([y for t in trials for y in synthesize_pair(plan, t)[:2]])
+        energies = _energies(streams[:, : plan.n]).reshape(-1, 2)
+        if dynamic:
+            frames = streams.reshape(-1, plan.n, plan.l).transpose(0, 2, 1)
+            sigma = estimate_noise_batch(frames, plan.m_grid).reshape(-1, 2)
+            ok = ~np.isnan(sigma).any(axis=1)
+            for s1, s0 in sigma[ok].tolist():
+                sigma_sum += s1 + s0
+            detected = energies[ok] > sigma[ok] * unit_lambda
         else:
-            try:
-                est1 = estimate_noise(frame(y1, plan.l, plan.n), plan.m_grid)
-                est0 = estimate_noise(frame(y0, plan.l, plan.n), plan.m_grid)
-            except EstimationFailure:
-                failed += 1
-                continue
-            lambda_h1 = dynamic_threshold(est1.sigma_hat2, plan.target_pfa, plan.n)
-            lambda_h0 = dynamic_threshold(est0.sigma_hat2, plan.target_pfa, plan.n)
-            sigma_sum += est1.sigma_hat2 + est0.sigma_hat2
-        if energy_statistic(y1[: plan.n]).value > lambda_h1:
-            det_h1 += 1
-        if energy_statistic(y0[: plan.n]).value > lambda_h0:
-            det_h0 += 1
-        completed += 1
-    return det_h1, det_h0, failed, sigma_sum, completed
+            detected = energies > static_lambda
+        det_h1 += int(np.count_nonzero(detected[:, 0]))
+        det_h0 += int(np.count_nonzero(detected[:, 1]))
+        completed += len(detected)
+    return det_h1, det_h0, (stop - start) - completed, sigma_sum, completed
 
 
 def _chunk_bounds(n_trials: int) -> list[tuple[int, int]]:

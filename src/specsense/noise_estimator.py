@@ -8,6 +8,11 @@ candidate variance whose Marchenko-Pastur distribution best matches the
 empirical distribution of the noise eigenvalues.  The Marchenko-Pastur CDF
 is evaluated in closed form from the analytic antiderivative of its
 density, so the fit needs no numerical integration.
+
+Every stage works on a stack of frames at once; :func:`estimate_noise_batch`
+runs the whole pipeline over a stack, and :func:`estimate_noise` is the
+batch of one with a full diagnostic record.  Rows of a stack never mix:
+each row's estimate is bit-for-bit the single-frame estimate of that frame.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ __all__ = [
     "NoiseEstimate",
     "eigenvalues_hermitian",
     "estimate_noise",
+    "estimate_noise_batch",
     "goodness_of_fit",
     "mdl_signal_count",
     "mp_cdf",
@@ -103,12 +109,24 @@ class NoiseEstimate:
     degenerate_grid: bool = False
 
 
+def _covariances(y: np.ndarray, n: int) -> np.ndarray:
+    """Hermitian sample covariances ``(1/N) Y Y^H`` of a (B, L, N) stack."""
+    cov = (y @ y.conj().swapaxes(-1, -2)) / n
+    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))  # remove rounding asymmetry
+
+
 def sample_covariance(frm: SampleFrame) -> CovarianceMatrix:
     """Sample covariance ``(1/N) Y Y^H`` of an L x N snapshot frame."""
-    y = frm.data
-    cov = (y @ y.conj().T) / frm.n
-    cov = 0.5 * (cov + cov.conj().T)  # remove rounding asymmetry
-    return CovarianceMatrix(entries=cov, n_snapshots=frm.n)
+    return CovarianceMatrix(entries=_covariances(frm.data[None], frm.n)[0], n_snapshots=frm.n)
+
+
+def _spectra(cov: np.ndarray) -> np.ndarray:
+    """Descending, clamped eigenvalues of a (B, L, L) stack; see eigenvalues_hermitian."""
+    eigs = np.linalg.eigvalsh(cov)[:, ::-1]
+    trace = np.trace(cov, axis1=1, axis2=2).real
+    if (eigs[:, -1] < -1e-10 * np.maximum(trace, 1e-300)).any():
+        raise ValueError("matrix is not positive semidefinite")
+    return np.maximum(eigs, 0.0)
 
 
 def eigenvalues_hermitian(cov: CovarianceMatrix) -> EigenSpectrum:
@@ -118,11 +136,25 @@ def eigenvalues_hermitian(cov: CovarianceMatrix) -> EigenSpectrum:
     anything more negative than ``-1e-10 * trace`` is rejected because the
     input was supposed to be positive semidefinite.
     """
-    eigs = np.linalg.eigvalsh(cov.entries)[::-1]
-    trace = float(np.trace(cov.entries).real)
-    if eigs[-1] < -1e-10 * max(trace, 1e-300):
-        raise ValueError("matrix is not positive semidefinite")
-    return EigenSpectrum(values=tuple(float(max(x, 0.0)) for x in eigs))
+    return EigenSpectrum(values=tuple(_spectra(cov.entries[None])[0].tolist()))
+
+
+def _mdl_counts(lam: np.ndarray, n_snapshots: int) -> np.ndarray:
+    """MDL signal count of every row of a (B, L) stack of descending spectra.
+
+    The tail means are filled split by split as ``sum / count``, which is
+    what ``np.mean`` computes, so each row scores exactly as it would alone.
+    """
+    size = lam.shape[1]
+    tails = np.stack([np.log(np.maximum(lam, _LOG_FLOOR)), lam])
+    means = np.empty_like(tails)
+    for k in range(size):
+        means[:, :, k] = tails[:, :, k:].sum(axis=2) / (size - k)
+    geo, ari = means  # log of the geometric mean and arithmetic mean of lam[:, k:]
+    k = np.arange(size)
+    data_term = -(size - k) * n_snapshots * (geo - np.log(np.maximum(ari, _LOG_FLOOR)))
+    penalty = 0.5 * k * (2 * size - k) * math.log(n_snapshots)
+    return np.argmin(data_term + penalty, axis=1)  # first minimum: smallest K wins ties
 
 
 def mdl_signal_count(spectrum: EigenSpectrum, n_snapshots: int) -> int:
@@ -135,24 +167,15 @@ def mdl_signal_count(spectrum: EigenSpectrum, n_snapshots: int) -> int:
     """
     if n_snapshots < 1:
         raise ValueError("n_snapshots must be positive")
-    lam = np.array(spectrum.values, dtype=np.float64)
-    size = lam.size
-    logs = np.log(np.maximum(lam, _LOG_FLOOR))
-    log_n = math.log(n_snapshots)
+    return int(_mdl_counts(np.array(spectrum.values)[None], n_snapshots)[0])
 
-    best_k = 0
-    best_score = math.inf
-    for k in range(size):
-        tail = lam[k:]
-        geo = float(np.mean(logs[k:]))  # log of geometric mean
-        ari = float(np.mean(tail))
-        data_term = -(size - k) * n_snapshots * (geo - math.log(max(ari, _LOG_FLOOR)))
-        penalty = 0.5 * k * (2 * size - k) * log_n
-        score = data_term + penalty
-        if score < best_score:
-            best_score = score
-            best_k = k
-    return best_k
+
+def _support_bounds(lambda_min, lambda_k1, p: float):
+    """Edge-mapped noise-variance interval, elementwise; see sigma_bounds."""
+    root = math.sqrt(p)
+    lo = lambda_min / (1.0 - root) ** 2
+    hi = lambda_k1 / (1.0 + root) ** 2
+    return np.minimum(lo, hi), np.maximum(lo, hi)
 
 
 def sigma_bounds(
@@ -180,12 +203,8 @@ def sigma_bounds(
         raise ValueError("need more snapshots than rows (L < N)")
     if lambda_min < 0.0 or lambda_k1 < 0.0:
         raise ValueError("eigenvalues must be non-negative")
-    root = math.sqrt(p)
-    lo = lambda_min / (1.0 - root) ** 2
-    hi = lambda_k1 / (1.0 + root) ** 2
-    if lo > hi:
-        lo, hi = hi, lo
-    return lo, hi
+    lo, hi = _support_bounds(lambda_min, lambda_k1, p)
+    return float(lo), float(hi)
 
 
 # --- Marchenko-Pastur distribution ---------------------------------------
@@ -237,18 +256,18 @@ def mp_cdf(z: float, p: float, sigma2: float) -> float:
 
 
 def _plotting_positions(eigs: np.ndarray) -> np.ndarray:
-    """Midpoint (Hazen) empirical CDF values ``(rank - 0.5) / n``.
+    """Midpoint (Hazen) empirical CDF values ``(rank - 0.5) / n`` of each row.
 
     Evaluating the step ECDF exactly at its own jump points would sit half
     a step high on average and drag the fitted variance low by about
     ``1/(2n)`` in CDF units -- enough to inflate the detector's false-alarm
     rate well past its target.  The midpoint convention is the standard
     unbiased plotting position for fitting a continuous distribution to a
-    small sample.
+    small sample.  The rank of a value is the count of row entries at or
+    below it, so tied values share the highest rank of their group.
     """
-    sorted_eigs = np.sort(eigs)
-    ranks = np.searchsorted(sorted_eigs, eigs, side="right")
-    return (ranks - 0.5) / eigs.size
+    ranks = np.sum(eigs[:, None, :] <= eigs[:, :, None], axis=2)
+    return (ranks - 0.5) / eigs.shape[1]
 
 
 def goodness_of_fit(noise_eigs: np.ndarray, p_eff: float, sigma2: float) -> float:
@@ -259,20 +278,64 @@ def goodness_of_fit(noise_eigs: np.ndarray, p_eff: float, sigma2: float) -> floa
         raise ValueError("need at least one noise eigenvalue")
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
-    return float(_fit_scores(noise_eigs, p_eff, np.array([sigma2]))[0])
+    eigs = np.asarray(noise_eigs, dtype=np.float64).reshape(1, -1)
+    return float(_fit_scores(eigs, p_eff, np.array([[sigma2]]))[0, 0])
 
 
 def _fit_scores(noise_eigs: np.ndarray, p_eff: float, grid: np.ndarray) -> np.ndarray:
-    """Goodness-of-fit against every candidate variance in one pass.
+    """Goodness-of-fit of every row against each of its candidate variances.
 
-    Vectorizes the Marchenko-Pastur evaluation over (candidate, eigenvalue)
-    pairs; row ``i`` is the fit score of candidate ``grid[i]``.
+    ``noise_eigs`` is (R, M) and ``grid`` is (R, G); the Marchenko-Pastur
+    CDF is evaluated over all (row, candidate, eigenvalue) cells in one
+    pass, and entry ``[r, i]`` is the fit score of candidate ``grid[r, i]``.
     """
-    eigs = np.asarray(noise_eigs, dtype=np.float64)
-    empirical = _plotting_positions(eigs)
-    scaled = eigs[None, :] / grid[:, None]
+    empirical = _plotting_positions(noise_eigs)
+    scaled = noise_eigs[:, None, :] / grid[:, :, None]
     model = _mp_cdf_unit(scaled, p_eff)
-    return np.sqrt(np.sum((empirical[None, :] - model) ** 2, axis=1))
+    return np.sqrt(np.sum((empirical[:, None, :] - model) ** 2, axis=2))
+
+
+def _fit_spectra(
+    lam: np.ndarray, n: int, m_grid: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """MDL split, support bounds and Marchenko-Pastur fit of each spectrum.
+
+    ``lam`` is a (B, L) stack of descending eigenvalues of covariances over
+    ``n`` snapshots.  Rows are fitted in groups that share ``k_hat`` (and so
+    the shape ratio and the number of noise eigenvalues) and grid size.
+
+    Returns:
+        (k_hat, lo, hi, sigma_hat2, scores): ``sigma_hat2`` is NaN where MDL
+        leaves fewer than two noise eigenvalues or the lower bound is zero;
+        row ``r`` of the (B, m_grid) ``scores`` holds that row's fit scores,
+        one (in column 0) for a degenerate grid ``lo == hi``, NaN elsewhere.
+    """
+    b, l = lam.shape
+    k_hat = _mdl_counts(lam, n)
+    rows = np.arange(b)
+    lo, hi = _support_bounds(lam[:, -1], lam[rows, np.minimum(k_hat, l - 2)], l / n)
+    usable = (k_hat <= l - 2) & (lo > 0.0)
+    flat = lo == hi
+    sigma = np.full(b, np.nan)
+    scores = np.full((b, m_grid), np.nan)
+    # Groups from a set of Python ints: the first np.unique call in a
+    # process raises peak memory by about 0.9 MB.
+    for k, is_flat in set(zip(k_hat[usable].tolist(), flat[usable].tolist())):
+        idx = np.flatnonzero(usable & (k_hat == k) & (flat == is_flat))
+        # Degenerate rows get their own one-point linspace: a zero step in
+        # one row would switch every row of a shared call to another rounding.
+        grid = np.linspace(lo[idx], hi[idx], 1 if is_flat else m_grid, axis=1)
+        fits = _fit_scores(lam[idx, k:], (1.0 - k / l) * (l / n), grid)
+        sigma[idx] = grid[np.arange(idx.size), np.argmin(fits, axis=1)]
+        scores[idx, : fits.shape[1]] = fits
+    return k_hat, lo, hi, sigma, scores
+
+
+def _check_shape(l: int, n: int, m_grid: int) -> None:
+    if m_grid < 2:
+        raise ValueError("m_grid must be at least 2")
+    if n <= l:
+        raise ValueError("need strictly more snapshots than rows (N > L)")
 
 
 def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
@@ -281,7 +344,8 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
     Runs the covariance -> eigenvalues -> MDL split -> support bounds ->
     Marchenko-Pastur fit pipeline and returns the candidate variance with
     the best fit (smallest grid value on ties).  When the bounds coincide
-    the grid is that one point and ``degenerate_grid`` is set.
+    the grid is that one point and ``degenerate_grid`` is set.  This is the
+    batch of one of :func:`estimate_noise_batch`.
 
     Raises:
         EstimationFailure: when MDL attributes all but one eigenvalue to
@@ -290,36 +354,47 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
         ValueError: if the frame is not strictly wider than tall or the
             grid has fewer than two candidates.
     """
-    if m_grid < 2:
-        raise ValueError("m_grid must be at least 2")
     l, n = frm.l, frm.n
-    if n <= l:
-        raise ValueError("need strictly more snapshots than rows (N > L)")
-
-    cov = sample_covariance(frm)
-    spectrum = eigenvalues_hermitian(cov)
-    k_hat = mdl_signal_count(spectrum, n)
+    _check_shape(l, n, m_grid)
+    spectrum = eigenvalues_hermitian(sample_covariance(frm))
+    k_hats, los, his, sigma, scores = _fit_spectra(np.array(spectrum.values)[None], n, m_grid)
+    k_hat, lo, hi = int(k_hats[0]), float(los[0]), float(his[0])
     if k_hat > l - 2:
         raise EstimationFailure(
             f"MDL attributed {k_hat} of {l} eigenvalues to signal"
         )
-
-    lam = np.array(spectrum.values)
-    lo, hi = sigma_bounds(float(lam[-1]), float(lam[k_hat]), k_hat, l, n)
     if lo == 0.0:
         raise EstimationFailure("smallest eigenvalue is zero: no noise floor to fit")
-    beta_hat = k_hat / l
-    p_ratio = l / n
-    grid = np.linspace(lo, hi, m_grid if hi > lo else 1)
-    scores = _fit_scores(lam[k_hat:], (1.0 - beta_hat) * p_ratio, grid)
-    best = int(np.argmin(scores))
     return NoiseEstimate(
-        sigma_hat2=float(grid[best]),
+        sigma_hat2=float(sigma[0]),
         k_hat=k_hat,
-        beta_hat=beta_hat,
+        beta_hat=k_hat / l,
         sigma_lo2=lo,
         sigma_hi2=hi,
-        fit_scores=tuple(float(s) for s in scores),
-        p_ratio=p_ratio,
+        fit_scores=tuple(scores[0, : 1 if lo == hi else m_grid].tolist()),
+        p_ratio=l / n,
         degenerate_grid=lo == hi,
     )
+
+
+def estimate_noise_batch(frames: np.ndarray, m_grid: int = 100) -> np.ndarray:
+    """Blind noise-variance estimates of a (B, L, N) stack of snapshot frames.
+
+    Row ``r`` is bit-for-bit ``estimate_noise(SampleFrame(frames[r]), m_grid)
+    .sigma_hat2``; it is NaN where that call raises :class:`EstimationFailure`.
+    Any memory layout works, including the transposed view
+    ``streams.reshape(B, N, L).transpose(0, 2, 1)`` that frames B sample
+    streams without a copy.
+
+    Raises:
+        ValueError: on a stack that is not (B, L, N) with L >= 2 and N > L,
+            on non-finite samples, or on a grid of fewer than two candidates.
+    """
+    frames = np.asarray(frames)
+    if frames.ndim != 3 or frames.shape[1] < 2:
+        raise ValueError("frames must be a (B, L, N) stack with L >= 2")
+    _, l, n = frames.shape
+    _check_shape(l, n, m_grid)
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("frame contains non-finite samples")
+    return _fit_spectra(_spectra(_covariances(frames, n)), n, m_grid)[3]

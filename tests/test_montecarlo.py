@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import specsense.harness as harness
-from specsense.detector import ThresholdMode, closed_form_pd, static_threshold
+from specsense.detector import (
+    ThresholdMode,
+    Verdict,
+    closed_form_pd,
+    decide,
+    dynamic_threshold,
+    energy_statistic,
+    static_threshold,
+)
 from specsense.harness import (
     PointResult,
     SweepResult,
@@ -15,9 +23,11 @@ from specsense.harness import (
     sweep_pfa,
     sweep_snr,
     sweep_threshold_factor,
+    synthesize_pair,
     write_results,
 )
-from specsense.noise_estimator import EstimationFailure
+from specsense.noise_estimator import EstimationFailure, estimate_noise
+from specsense.signal_model import frame
 
 
 def _static_plan(**overrides) -> TrialPlan:
@@ -104,13 +114,88 @@ def test_mismatch_wander_changes_results_only_when_enabled():
 
 
 def test_excessive_estimation_failures_abort(monkeypatch):
-    def always_fails(frm, m_grid):
-        raise EstimationFailure("synthetic failure")
+    def always_fails(frames, m_grid):
+        return np.full(len(frames), np.nan)  # NaN: this frame's estimate failed
 
-    monkeypatch.setattr(harness, "estimate_noise", always_fails)
+    monkeypatch.setattr(harness, "estimate_noise_batch", always_fails)
     plan = _static_plan(mode=ThresholdMode.DYNAMIC, n_trials=200)
     with pytest.raises(RuntimeError, match="failed"):
         run_point(plan)
+
+
+def test_failed_rows_fail_exactly_their_trials(monkeypatch):
+    # block call -> rows whose estimate fails; rows 2i and 2i + 1 hold the
+    # H1 and H0 frames of the block's trial i
+    plan_of_failures = {0: (1,), 3: (2, 3), 5: (4,), 9: (0, 7), 70: (15,)}
+    real = harness.estimate_noise_batch
+    calls = []
+
+    def fails_some_rows(frames, m_grid):
+        sigma = real(frames, m_grid)
+        sigma[list(plan_of_failures.get(len(calls), ()))] = np.nan
+        calls.append(len(frames))
+        return sigma
+
+    monkeypatch.setattr(harness, "estimate_noise_batch", fails_some_rows)
+    plan = _static_plan(mode=ThresholdMode.DYNAMIC, n_trials=600, mismatch_db=3.0)
+    r = run_point(plan)
+    failing_trials = {(call, row // 2) for call, rows in plan_of_failures.items() for row in rows}
+    assert len(calls) == 4 * 16 + 11  # four full chunks of 16 blocks, then 88 trials
+    assert r.failed_trials == len(failing_trials) == 6
+    assert r.n_effective == 600 - 6
+
+
+def _reference_point(plan: TrialPlan) -> PointResult:
+    """run_point rebuilt from public single-frame calls, one trial at a time.
+
+    Noise estimates are summed per chunk of ``harness._CHUNK`` trials and
+    the chunk sums added in chunk order, as the harness reduces them.
+    """
+    dynamic = plan.mode is ThresholdMode.DYNAMIC
+    det_h1 = det_h0 = failed = 0
+    sigma_total = 0.0
+    for first in range(0, plan.n_trials, harness._CHUNK):
+        chunk_sum = 0.0
+        for trial in range(first, min(first + harness._CHUNK, plan.n_trials)):
+            y1, y0, _ = synthesize_pair(plan, trial)
+            if dynamic:
+                try:
+                    est1 = estimate_noise(frame(y1, plan.l, plan.n), plan.m_grid)
+                    est0 = estimate_noise(frame(y0, plan.l, plan.n), plan.m_grid)
+                except EstimationFailure:
+                    failed += 1
+                    continue
+                lam1 = dynamic_threshold(est1.sigma_hat2, plan.target_pfa, plan.n)
+                lam0 = dynamic_threshold(est0.sigma_hat2, plan.target_pfa, plan.n)
+                chunk_sum += est1.sigma_hat2 + est0.sigma_hat2
+            else:
+                lam1 = lam0 = static_threshold(plan.sigma_nominal2, plan.target_pfa, plan.n)
+            det_h1 += decide(energy_statistic(y1[: plan.n]), lam1).verdict is Verdict.PRESENT_H1
+            det_h0 += decide(energy_statistic(y0[: plan.n]), lam0).verdict is Verdict.PRESENT_H1
+        sigma_total += chunk_sum
+    completed = plan.n_trials - failed
+    pd, pfa = det_h1 / completed, det_h0 / completed
+    return PointResult(
+        pd=pd,
+        pfa=pfa,
+        pd_ci=2.576 * math.sqrt(pd * (1.0 - pd) / completed),
+        pfa_ci=2.576 * math.sqrt(pfa * (1.0 - pfa) / completed),
+        mean_sigma_hat2=sigma_total / (2.0 * completed) if dynamic else None,
+        failed_trials=failed,
+        n_effective=completed,
+    )
+
+
+@pytest.mark.parametrize("l", [6, 8, 16])
+@pytest.mark.parametrize("mode", [ThresholdMode.STATIC, ThresholdMode.DYNAMIC])
+def test_run_point_equals_single_frame_reference(mode, l):
+    # 1, 7, 8, 9: around one block; 37: a ragged last block; 130: two chunks
+    for n_trials in (1, 7, 8, 9, 37, 130):
+        plan = _static_plan(
+            n_trials=n_trials, n=16 * l, l=l, mode=mode, mismatch_db=3.0,
+            sigma_s2=10.0 ** (-0.2), master_seed=2024 + n_trials,
+        )
+        assert run_point(plan) == _reference_point(plan), n_trials
 
 
 def test_sweep_snr_produces_both_modes():

@@ -1,4 +1,6 @@
 """Tests of the blind noise-power estimation pipeline."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from specsense.noise_estimator import (
     _mp_cdf_unit,
     eigenvalues_hermitian,
     estimate_noise,
+    estimate_noise_batch,
     goodness_of_fit,
     mdl_signal_count,
     mp_cdf,
@@ -422,3 +425,63 @@ def test_estimate_noise_validates_arguments():
     square = SampleFrame(data=f.data[:, :8])
     with pytest.raises(ValueError):
         estimate_noise(square, m_grid=10)  # needs N > L
+
+
+# ------------------------------------------------------------ stacked frames
+
+
+def _streams_as_frames(streams: np.ndarray, l: int, n: int) -> np.ndarray:
+    """The (B, L, N) view of B streams that the harness hands the estimator."""
+    return streams.reshape(len(streams), n, l).transpose(0, 2, 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    l=st.sampled_from([4, 6, 8, 16]),
+    kinds=st.lists(st.sampled_from(["noise", "signal", "zero"]), min_size=1, max_size=6),
+)
+def test_batch_rows_equal_single_frame_estimates(seed, l, kinds):
+    n = 16 * l
+    rng = np.random.default_rng(seed)
+    streams = np.zeros((len(kinds), l * n), dtype=np.complex128)
+    for r, kind in enumerate(kinds):
+        if kind == "zero":  # no noise floor: this row alone must fail
+            continue
+        sigma2 = 10.0 ** rng.uniform(-1.0, 1.0)
+        streams[r] = add_awgn(streams[r], sigma2, seed + r)
+        if kind == "signal":
+            sps = int(rng.choice([1, 2, l]))
+            streams[r] += generate_qpsk(l * n, 4.0 * sigma2, seed + r, samples_per_symbol=sps)
+    want = []
+    for stream in streams:
+        try:
+            want.append(estimate_noise(frame(stream, l, n), m_grid=50).sigma_hat2)
+        except EstimationFailure:
+            want.append(math.nan)
+    got = estimate_noise_batch(_streams_as_frames(streams, l, n), m_grid=50)
+    np.testing.assert_array_equal(got, np.array(want))  # bit-equal, NaN where failed
+    contiguous = np.stack([frame(stream, l, n).data for stream in streams])
+    np.testing.assert_array_equal(estimate_noise_batch(contiguous, m_grid=50), got)
+
+
+def test_batch_zero_frame_fails_only_its_own_row():
+    frames = [_noise_frame(8, 128, 1.0, seed).data for seed in (21, 22, 23)]
+    frames.insert(1, np.zeros((8, 128), dtype=np.complex128))
+    got = estimate_noise_batch(np.stack(frames), m_grid=100)
+    assert np.isnan(got[1])
+    for r in (0, 2, 3):
+        assert got[r] == estimate_noise(SampleFrame(data=frames[r]), m_grid=100).sigma_hat2
+
+
+def test_batch_validates_arguments():
+    frames = np.stack([_noise_frame(8, 64, 1.0, seed).data for seed in (1, 2)])
+    with pytest.raises(ValueError):
+        estimate_noise_batch(frames, m_grid=1)
+    with pytest.raises(ValueError):
+        estimate_noise_batch(frames[:, :, :8], m_grid=10)  # needs N > L
+    with pytest.raises(ValueError):
+        estimate_noise_batch(frames[0], m_grid=10)  # not a stack
+    frames[1, 3, 5] = np.nan
+    with pytest.raises(ValueError):
+        estimate_noise_batch(frames, m_grid=10)
