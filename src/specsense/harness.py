@@ -7,8 +7,11 @@ per-chunk diagnostics are reduced in fixed chunk order, which keeps CSV
 output byte-identical across reruns.
 
 Trials run in chunks of ``_CHUNK`` (the unit of work a worker process
-takes) and, inside a chunk, in blocks of ``_BLOCK``.  A block stacks the
-H1 and H0 streams of its trials and runs each pipeline stage once over the
+takes) and, inside a chunk, in blocks of ``_BLOCK``.  A chunk derives the
+generator states of all its trials' substreams in one vectorised seed
+computation.  A block synthesizes the H1 and H0 streams of its trials as
+one stack, only as long as its mode reads (``n`` samples in static mode,
+``l * n`` in dynamic mode), and runs each pipeline stage once over the
 stack: the energy statistics, then in dynamic mode one stacked blind noise
 estimate (covariance, eigenvalues, MDL split, Marchenko-Pastur fit).  Each
 row of a stacked stage is bit-for-bit the single-frame result, and the
@@ -34,7 +37,15 @@ from .detector import (
     static_threshold,
 )
 from .noise_estimator import NoiseEstimate, estimate_noise, estimate_noise_batch
-from .signal_model import Hypothesis, add_awgn, derive_seed, frame, generate_qpsk
+from .signal_model import (
+    Hypothesis,
+    _awgn_rows,
+    _generators,
+    _pcg64_states,
+    _qpsk_rows,
+    derive_seed,
+    frame,
+)
 
 __all__ = [
     "PointResult",
@@ -116,6 +127,8 @@ class TrialPlan:
             raise ValueError("mismatch_db must be non-negative")
         if self.samples_per_symbol is not None and self.samples_per_symbol < 1:
             raise ValueError("samples_per_symbol must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
 
     @property
     def sps(self) -> int:
@@ -151,26 +164,65 @@ def synthesize_pair(plan: TrialPlan, trial: int) -> tuple[np.ndarray, np.ndarray
     stream's own noise realization, so comparisons between hypotheses are
     paired sample-for-sample.
     """
-    n_samples = plan.l * plan.n
-    sigma_true = plan.sigma_w2_true
-    if plan.mismatch_db > 0.0:
-        rng = np.random.default_rng(derive_seed(plan.master_seed, trial, _ROLE_MISMATCH))
-        offset_db = rng.uniform(-plan.mismatch_db, plan.mismatch_db)
-        sigma_true = sigma_true * 10.0 ** (offset_db / 10.0)
-    noise = add_awgn(
-        np.zeros(n_samples, dtype=np.complex128),
-        sigma_true,
-        derive_seed(plan.master_seed, trial, _ROLE_NOISE),
+    streams, sigma_true = _synthesize(
+        plan, _trial_states(plan, trial, trial + 1), plan.l * plan.n
     )
+    return streams[0], streams[1], sigma_true[0]
+
+
+def _roles(plan: TrialPlan) -> tuple[int, ...]:
+    """The substreams a trial of ``plan`` draws from, in state column order."""
+    roles = (_ROLE_SIGNAL,) if plan.sigma_s2 > 0.0 else ()
+    roles += (_ROLE_NOISE,)
+    if plan.mismatch_db > 0.0:
+        roles += (_ROLE_MISMATCH,)
+    return roles
+
+
+def _trial_states(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
+    """PCG64 state words of every substream of trials [start, stop).
+
+    Returns a ``(stop - start, len(_roles(plan)), 4)`` array: the state
+    ``default_rng(derive_seed(plan.master_seed, trial, role))`` starts in,
+    for every (trial, role), from one array call of ``derive_seed`` and one
+    of ``_pcg64_states``.
+    """
+    roles = _roles(plan)
+    trials = np.repeat(np.arange(start, stop), len(roles))
+    seeds = derive_seed(plan.master_seed, trials, np.tile(roles, stop - start))
+    return _pcg64_states(seeds).reshape(stop - start, len(roles), 4)
+
+
+def _synthesize(
+    plan: TrialPlan, states: np.ndarray, n_samples: int
+) -> tuple[np.ndarray, list[float]]:
+    """The first ``n_samples`` samples of the streams of a block of trials.
+
+    ``states`` holds the block's rows of :func:`_trial_states`.  Rows 2i
+    and 2i + 1 of the returned stack are the H1 and H0 streams of the
+    block's trial i, and the list holds each trial's true noise power.  In
+    their real parts, streams shorter than ``plan.l * plan.n`` samples are
+    bit-for-bit prefixes of the full streams; the imaginary parts of their
+    noise come from other draws.
+    """
+    roles = _roles(plan)
+    generators = _generators(states.reshape(-1, 4))
+    rngs = {role: generators[c :: len(roles)] for c, role in enumerate(roles)}
+    sigma_true = [plan.sigma_w2_true] * len(states)
+    if plan.mismatch_db > 0.0:
+        sigma_true = [
+            plan.sigma_w2_true
+            * 10.0 ** (rng.uniform(-plan.mismatch_db, plan.mismatch_db) / 10.0)
+            for rng in rngs[_ROLE_MISMATCH]
+        ]
+    streams = np.empty((len(states), 2, n_samples), dtype=np.complex128)
+    _awgn_rows(rngs[_ROLE_NOISE], sigma_true, streams[:, 1])
     if plan.sigma_s2 > 0.0:
-        x = generate_qpsk(
-            n_samples,
-            plan.sigma_s2,
-            derive_seed(plan.master_seed, trial, _ROLE_SIGNAL),
-            samples_per_symbol=plan.sps,
-        )
-        return x + noise, noise, sigma_true
-    return noise.copy(), noise, sigma_true
+        signal = _qpsk_rows(rngs[_ROLE_SIGNAL], n_samples, plan.sigma_s2, plan.sps)
+        np.add(signal, streams[:, 1], out=streams[:, 0])
+    else:
+        streams[:, 0] = streams[:, 1]
+    return streams.reshape(-1, n_samples), sigma_true
 
 
 def sense_once(plan: TrialPlan) -> tuple[SensingDecision, NoiseEstimate | None]:
@@ -219,10 +271,12 @@ def _run_chunk(plan: TrialPlan, start: int, stop: int) -> tuple[int, int, int, f
     else:
         static_lambda = static_threshold(plan.sigma_nominal2, plan.target_pfa, plan.n)
 
-    for first in range(start, stop, _BLOCK):
-        trials = range(first, min(first + _BLOCK, stop))
-        # Rows 2i and 2i + 1 are the H1 and H0 streams of trials[i].
-        streams = np.stack([y for t in trials for y in synthesize_pair(plan, t)[:2]])
+    # Static mode reads only the first n real parts of each stream.
+    n_samples = plan.l * plan.n if dynamic else plan.n
+    states = _trial_states(plan, start, stop)
+    for first in range(0, stop - start, _BLOCK):
+        # Rows 2i and 2i + 1 are the H1 and H0 streams of the block's trial i.
+        streams, _ = _synthesize(plan, states[first : first + _BLOCK], n_samples)
         energies = _energies(streams[:, : plan.n]).reshape(-1, 2)
         if dynamic:
             frames = streams.reshape(-1, plan.n, plan.l).transpose(0, 2, 1)

@@ -1,7 +1,10 @@
 """Complex-baseband signal synthesis: QPSK bursts, AWGN, and snapshot framing.
 
 All randomness flows through integer seeds so that every trial of a larger
-experiment can be reproduced bit-for-bit from a single master seed.
+experiment can be reproduced bit-for-bit from a single master seed.  Seeds
+and generator states come from numpy's ``SeedSequence`` mixing, computed
+over whole columns of seeds at once, and streams are drawn row by row into
+stacked buffers; one stream is the stack of one.
 """
 from __future__ import annotations
 
@@ -36,17 +39,179 @@ class Hypothesis(enum.Enum):
     H1 = "h1"
 
 
-def derive_seed(master_seed: int, *path: int) -> int:
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).  The seed
+# kernel below is its documented mixing, run in uint32 over columns.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def derive_seed(master_seed: int, *path: int | np.ndarray) -> int | np.ndarray:
     """Derive a 64-bit sub-seed from a master seed and an index path.
 
-    Uses numpy's SeedSequence splitting, so substreams for different
-    ``path`` tuples (e.g. ``(trial, role)``) are statistically independent
-    and stable across platforms and process counts.
+    Returns the first ``uint64`` state word of
+    ``SeedSequence(entropy=master_seed, spawn_key=path)``, so substreams for
+    different ``path`` tuples (e.g. ``(trial, role)``) are statistically
+    independent and stable across platforms and process counts.
+
+    A path entry may also be a 1-D integer array with values in
+    ``[0, 2**32)``.  Array entries broadcast together, and the result is
+    then a ``uint64`` array with one seed per row; with scalar entries only
+    it is an ``int``, the batch of one.
     """
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(path))
-    return int(ss.generate_state(1, np.uint64)[0])
+    words = _int_words(master_seed)
+    # A spawned SeedSequence zero-pads its entropy to the pool size, so the
+    # path words always start at word _POOL_SIZE.
+    entropy = words + [0] * (_POOL_SIZE - len(words))
+    for entry in path:
+        if isinstance(entry, np.ndarray) and entry.ndim == 1:
+            if entry.dtype.kind not in "iu":
+                raise TypeError("array path entries must hold integers")
+            if entry.size and (entry.min() < 0 or entry.max() > _MASK32):
+                raise ValueError("array path entries must lie in [0, 2**32)")
+            entropy.append(entry.astype(np.uint32))
+        else:
+            entropy.extend(_int_words(entry))
+    return _join_words(*_seed_sequence_state(entropy, 2))
+
+
+def _int_words(value: int) -> list[int]:
+    """The 32-bit words SeedSequence makes of a non-negative integer, least
+    significant first; 0 is one word."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"seeds and path entries must be integers, not {type(value).__name__}")
+    value = int(value)
+    if value < 0:
+        raise ValueError("seeds and path entries must be non-negative")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix; its multiplier advances on every call."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _seed_sequence_state(entropy: list, n_words: int) -> list:
+    """``SeedSequence(entropy).generate_state(n_words)``, one 32-bit word per column.
+
+    Each entropy word is an ``int``, the same on every row, or a uint32
+    array with one value per row; arrays broadcast together.  The hash
+    constants do not depend on the data, so the mixing runs at full width
+    only from the first array word on, and the columns come out as ints if
+    every word is one.  Words missing below the pool size hash as 0, as in
+    numpy.  Python ints are masked to 32 bits; uint32 arrays wrap.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(_INIT_B, _MULT_B)
+    return [output(pool[i % _POOL_SIZE]) for i in range(n_words)]
+
+
+def _join_words(lo, hi):
+    """64-bit values from their low and high 32-bit words: an ``int`` from
+    ints, else a ``uint64`` array.  Built arithmetically, not by viewing
+    the words' bytes, so the result does not depend on byte order."""
+    if isinstance(lo, int):
+        return lo | hi << 32
+    return lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)
+
+
+def _pcg64_states(seeds) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, uint64)`` of each seed, as rows.
+
+    ``seeds`` is one non-negative ``int`` or a ``uint64`` array.  An array
+    seed enters as two words; a zero high word hashes exactly as the
+    padding of a seed below 2**32, which SeedSequence makes one word.
+    """
+    if isinstance(seeds, np.ndarray):
+        seeds = seeds.astype(np.uint64)
+        entropy = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
+    else:
+        entropy = _int_words(seeds)
+    words = _seed_sequence_state(entropy, 8)
+    states = np.empty((np.size(seeds), 4), np.uint64)
+    for k in range(4):
+        states[:, k] = _join_words(words[2 * k], words[2 * k + 1])
+    return states
+
+
+_STATE_WORDS: type | None = None
+
+
+def _generators(states: np.ndarray) -> list:
+    """One ``numpy.random.Generator`` per row of :func:`_pcg64_states`, each
+    in the state ``default_rng(seed)`` starts in."""
+    global _STATE_WORDS
+    if _STATE_WORDS is None:
+        # Made on first use, not at import: numpy loads numpy.random when
+        # something first touches it, and every import would pay for it.
+        class StateWords(np.random.bit_generator.ISeedSequence):
+            """Hands PCG64 state words that are already made."""
+
+            def __init__(self, words: np.ndarray) -> None:
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                return self.words
+
+        _STATE_WORDS = StateWords
+    return [np.random.Generator(np.random.PCG64(_STATE_WORDS(row))) for row in states]
+
+
+def _qpsk_rows(rngs: list, n_samples: int, sigma_s2: float, samples_per_symbol: int) -> np.ndarray:
+    """One QPSK stream of ``n_samples`` samples per generator, as rows."""
+    n_symbols = -(-n_samples // samples_per_symbol)  # ceil division
+    idx = np.empty((len(rngs), n_symbols), np.int64)
+    for rng, row in zip(rngs, idx):
+        row[:] = rng.integers(0, 4, size=n_symbols)
+    symbols = math.sqrt(sigma_s2 / 2.0) * _QPSK_POINTS[idx]
+    if samples_per_symbol == 1:
+        return symbols
+    return np.repeat(symbols, samples_per_symbol, axis=1)[:, :n_samples]
+
+
+def _awgn_rows(rngs: list, sigma_w2, out: np.ndarray) -> None:
+    """Fill row i of the complex array ``out`` with noise of total power
+    ``sigma_w2[i]`` from generator i, which draws every real part first."""
+    parts = np.empty((len(rngs), 2, out.shape[1]))
+    for rng, row in zip(rngs, parts):
+        rng.standard_normal(out=row)
+    scale = np.sqrt(np.asarray(sigma_w2, dtype=np.float64) / 2.0)[:, None]
+    np.multiply(scale, parts[:, 0] + 1j * parts[:, 1], out=out)
 
 
 def generate_qpsk(
@@ -79,14 +244,8 @@ def generate_qpsk(
         raise ValueError("sigma_s2 must be positive")
     if samples_per_symbol < 1:
         raise ValueError("samples_per_symbol must be >= 1")
-    rng = np.random.default_rng(seed)
-    n_symbols = -(-n_samples // samples_per_symbol)  # ceil division
-    idx = rng.integers(0, 4, size=n_symbols)
-    amplitude = math.sqrt(sigma_s2 / 2.0)
-    symbols = amplitude * _QPSK_POINTS[idx]
-    if samples_per_symbol == 1:
-        return symbols[:n_samples]
-    return np.repeat(symbols, samples_per_symbol)[:n_samples]
+    rngs = _generators(_pcg64_states(seed))
+    return _qpsk_rows(rngs, n_samples, sigma_s2, samples_per_symbol)[0]
 
 
 def add_awgn(stream: np.ndarray, sigma_w2: float, seed: int) -> np.ndarray:
@@ -106,9 +265,8 @@ def add_awgn(stream: np.ndarray, sigma_w2: float, seed: int) -> np.ndarray:
     if sigma_w2 <= 0.0:
         raise ValueError("sigma_w2 must be positive")
     stream = np.asarray(stream, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    parts = rng.standard_normal((2, stream.size))
-    w = math.sqrt(sigma_w2 / 2.0) * (parts[0] + 1j * parts[1])
+    w = np.empty((1, stream.size), dtype=np.complex128)
+    _awgn_rows(_generators(_pcg64_states(seed)), [sigma_w2], w)
     return stream + w.reshape(stream.shape)
 
 

@@ -4,6 +4,8 @@ Each oracle reaches the same quantity as the package by a different
 algorithmic route, so agreement is evidence of correctness rather than
 a tautology.
 """
+import math
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -132,3 +134,32 @@ def planted_spectrum_matrix(
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # make Q Haar-like
     a = (q * np.asarray(eigenvalues)) @ q.conj().T
     return 0.5 * (a + a.conj().T)
+
+
+def reference_pair(plan, trial: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """One trial's (H1 stream, H0 stream, true noise power), one substream at a time.
+
+    Each substream is seeded straight through numpy:
+    ``default_rng(SeedSequence(master_seed, spawn_key=(trial, role)))``'s
+    first uint64 state word, with roles 0 (QPSK symbols), 1 (noise) and 2
+    (noise-power wander).  Streams hold ``plan.l * plan.n`` samples.
+    """
+
+    def rng(role: int) -> np.random.Generator:
+        ss = np.random.SeedSequence(entropy=plan.master_seed, spawn_key=(trial, role))
+        return np.random.default_rng(int(ss.generate_state(1, np.uint64)[0]))
+
+    n_samples = plan.l * plan.n
+    sigma_true = plan.sigma_w2_true
+    if plan.mismatch_db > 0.0:
+        offset_db = rng(2).uniform(-plan.mismatch_db, plan.mismatch_db)
+        sigma_true = sigma_true * 10.0 ** (offset_db / 10.0)
+    parts = rng(1).standard_normal((2, n_samples))
+    noise = math.sqrt(sigma_true / 2.0) * (parts[0] + 1j * parts[1])
+    if plan.sigma_s2 <= 0.0:
+        return noise.copy(), noise, sigma_true
+    sps = plan.l if plan.samples_per_symbol is None else plan.samples_per_symbol
+    idx = rng(0).integers(0, 4, size=-(-n_samples // sps))
+    points = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])  # the package's fixed order
+    x = np.repeat(math.sqrt(plan.sigma_s2 / 2.0) * points[idx], sps)[:n_samples]
+    return x + noise, noise, sigma_true

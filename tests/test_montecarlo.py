@@ -1,10 +1,14 @@
 """Tests of the Monte Carlo harness: pairing, reductions, CSV output."""
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_pair
 import specsense.harness as harness
 from specsense.detector import (
     ThresholdMode,
@@ -60,6 +64,9 @@ def test_trial_plan_validation():
         _static_plan(sigma_s2=-1.0)
     with pytest.raises(ValueError):
         _static_plan(mismatch_db=-0.5)
+    with pytest.raises(ValueError, match="master_seed"):
+        _static_plan(master_seed=-1)
+    _static_plan(master_seed=0)
 
 
 def test_sps_defaults_to_snapshot_length():
@@ -146,7 +153,11 @@ def test_failed_rows_fail_exactly_their_trials(monkeypatch):
 
 
 def _reference_point(plan: TrialPlan) -> PointResult:
-    """run_point rebuilt from public single-frame calls, one trial at a time.
+    """run_point rebuilt from single-frame calls, one trial at a time.
+
+    Streams come from ``oracles.reference_pair``, which seeds and draws
+    every substream through numpy directly; the rest uses the package's
+    public single-frame calls.
 
     Noise estimates are summed per chunk of ``harness._CHUNK`` trials and
     the chunk sums added in chunk order, as the harness reduces them.
@@ -157,7 +168,7 @@ def _reference_point(plan: TrialPlan) -> PointResult:
     for first in range(0, plan.n_trials, harness._CHUNK):
         chunk_sum = 0.0
         for trial in range(first, min(first + harness._CHUNK, plan.n_trials)):
-            y1, y0, _ = synthesize_pair(plan, trial)
+            y1, y0, _ = reference_pair(plan, trial)
             if dynamic:
                 try:
                     est1 = estimate_noise(frame(y1, plan.l, plan.n), plan.m_grid)
@@ -186,16 +197,65 @@ def _reference_point(plan: TrialPlan) -> PointResult:
     )
 
 
-@pytest.mark.parametrize("l", [6, 8, 16])
-@pytest.mark.parametrize("mode", [ThresholdMode.STATIC, ThresholdMode.DYNAMIC])
-def test_run_point_equals_single_frame_reference(mode, l):
+def _assert_equals_reference(mode, l, **overrides):
     # 1, 7, 8, 9: around one block; 37: a ragged last block; 130: two chunks
     for n_trials in (1, 7, 8, 9, 37, 130):
         plan = _static_plan(
             n_trials=n_trials, n=16 * l, l=l, mode=mode, mismatch_db=3.0,
             sigma_s2=10.0 ** (-0.2), master_seed=2024 + n_trials,
         )
+        plan = replace(plan, **overrides)
         assert run_point(plan) == _reference_point(plan), n_trials
+
+
+@pytest.mark.parametrize("l", [6, 8, 16])
+@pytest.mark.parametrize("mode", [ThresholdMode.STATIC, ThresholdMode.DYNAMIC])
+def test_run_point_equals_single_frame_reference(mode, l):
+    _assert_equals_reference(mode, l)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"samples_per_symbol": 3}, {"sigma_s2": 0.0}],
+    ids=["sps_3_not_dividing_n", "no_signal"],
+)
+@pytest.mark.parametrize("mode", [ThresholdMode.STATIC, ThresholdMode.DYNAMIC])
+def test_run_point_equals_single_frame_reference_for_other_signals(mode, overrides):
+    _assert_equals_reference(mode, 8, **overrides)
+
+
+@pytest.mark.parametrize("mismatch_db", [0.0, 3.0])
+@pytest.mark.parametrize("sigma_s2", [0.0, 0.4])
+def test_synthesize_pair_equals_reference(sigma_s2, mismatch_db):
+    for sps in (None, 1, 3):
+        plan = _static_plan(n_trials=5, n=40, l=8, sigma_s2=sigma_s2, mismatch_db=mismatch_db,
+                            samples_per_symbol=sps, master_seed=2**70 + 1)
+        for trial in (0, 4, 2**32 - 1):
+            got, want = synthesize_pair(plan, trial), reference_pair(plan, trial)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    master_seed=st.integers(0, 2**80),
+    n=st.integers(8, 60),
+    sps=st.integers(1, 9),
+    sigma_s2=st.sampled_from([0.0, 0.3, 1.5]),
+    mismatch_db=st.sampled_from([0.0, 3.0]),
+)
+def test_static_streams_are_real_prefixes_of_full_streams(master_seed, n, sps, sigma_s2,
+                                                          mismatch_db):
+    plan = _static_plan(n_trials=9, n=n, l=4, sigma_s2=sigma_s2, mismatch_db=mismatch_db,
+                        samples_per_symbol=sps, master_seed=master_seed)
+    short, sigma = harness._synthesize(plan, harness._trial_states(plan, 0, 9), n)
+    assert short.shape == (18, n)
+    for trial in range(9):
+        y1, y0, sigma_true = synthesize_pair(plan, trial)
+        np.testing.assert_array_equal(short[2 * trial].real, y1[:n].real)
+        np.testing.assert_array_equal(short[2 * trial + 1].real, y0[:n].real)
+        assert sigma[trial] == sigma_true
 
 
 def test_sweep_snr_produces_both_modes():

@@ -1,9 +1,15 @@
 """Tests of the complex-baseband signal model."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsense.signal_model import (
     SampleFrame,
+    _generators,
+    _pcg64_states,
     add_awgn,
     derive_seed,
     frame,
@@ -85,6 +91,83 @@ def test_derive_seed_is_deterministic_and_distinct():
     others = {derive_seed(42, t, r) for t in range(50) for r in range(3)}
     assert len(others) == 150  # no collisions across trials/roles
     assert derive_seed(43, 0, 1) != a
+
+
+def _seed_sequence_word(master_seed: int, *path: int) -> int:
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=path)
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**160 - 1),
+    rows=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2)), min_size=1,
+                  max_size=12),
+)
+def test_array_derive_seed_equals_seed_sequence(master_seed, rows):
+    trials = np.array([t for t, _ in rows], dtype=np.int64)
+    roles = np.array([r for _, r in rows], dtype=np.int64)
+    got = derive_seed(master_seed, trials, roles)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_seed_sequence_word(master_seed, t, r) for t, r in rows]
+    # broadcast with a scalar entry, and the scalar call as the batch of one
+    t, r = rows[0]
+    assert derive_seed(master_seed, trials, r).tolist() == [
+        _seed_sequence_word(master_seed, int(x), r) for x in trials
+    ]
+    scalar = derive_seed(master_seed, t, r)
+    assert type(scalar) is int and scalar == got[0]
+
+
+def test_scalar_derive_seed_takes_any_integer_path():
+    for path in [(), (7,), (2**32, 1), (2**70 + 3, 0, 5), (np.int64(4), np.uint8(2))]:
+        for master_seed in (0, 42, 2**128, 2**200 + 9):
+            assert derive_seed(master_seed, *path) == _seed_sequence_word(
+                master_seed, *(int(p) for p in path)
+            )
+
+
+def test_derive_seed_rejects_bad_entries():
+    with pytest.raises(ValueError):
+        derive_seed(-1, 0, 1)
+    with pytest.raises(ValueError):
+        derive_seed(42, np.array([0, 2**32]), 1)
+    with pytest.raises(ValueError):
+        derive_seed(42, np.array([3, -1]), 1)
+    with pytest.raises(ValueError):
+        derive_seed(42, -2, 1)
+    with pytest.raises(TypeError):
+        derive_seed(42, np.array([0.5, 1.0]), 1)
+    with pytest.raises(TypeError):
+        derive_seed(42, 1.5)
+
+
+@settings(derandomize=True, deadline=None)
+@given(extra=st.lists(st.integers(0, 2**64 - 1), max_size=10))
+def test_pcg64_states_equal_seed_sequence(extra):
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + extra
+    states = _pcg64_states(np.array(seeds, dtype=np.uint64))
+    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+    for seed, row in zip(seeds, states):
+        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(_pcg64_states(seed)[0], want)
+    for seed, rng in zip(seeds, _generators(states)):
+        np.testing.assert_array_equal(
+            rng.standard_normal(5), np.random.default_rng(seed).standard_normal(5)
+        )
+
+
+def test_streams_equal_default_rng_draws():
+    for seed in (0, 9, 2**40 + 1, 2**64 + 5, 2**130):
+        x = np.linspace(-1.0, 1.0, 24) + 0.5j
+        parts = np.random.default_rng(seed).standard_normal((2, 24))
+        want = x + math.sqrt(0.7 / 2.0) * (parts[0] + 1j * parts[1])
+        np.testing.assert_array_equal(add_awgn(x, 0.7, seed), want)
+        idx = np.random.default_rng(seed).integers(0, 4, size=9)
+        points = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * math.sqrt(1.3 / 2.0)
+        np.testing.assert_array_equal(generate_qpsk(25, 1.3, seed, samples_per_symbol=3),
+                                      np.repeat(points[idx], 3)[:25])
 
 
 def test_streams_with_same_seed_match():
