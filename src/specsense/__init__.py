@@ -7,7 +7,6 @@ fitting, and a reproducible Monte Carlo harness with a command line
 front end.
 """
 from .detector import (
-    EnergyStatistic,
     SensingDecision,
     ThresholdMode,
     Verdict,
@@ -59,7 +58,6 @@ from .signal_model import (
 __all__ = [
     "CovarianceMatrix",
     "EigenSpectrum",
-    "EnergyStatistic",
     "EstimationFailure",
     "Hypothesis",
     "NoiseEstimate",

@@ -11,96 +11,92 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .detector import ThresholdMode, Verdict
 from .harness import (
-    SweepResult,
     TrialPlan,
     sense_once,
     sweep_pfa,
     sweep_snr,
     sweep_threshold_factor,
-    synthesize_pair,
     write_results,
 )
-from .noise_estimator import EstimationFailure, estimate_noise
-from .signal_model import Hypothesis, frame
+from .noise_estimator import EstimationFailure
+from .signal_model import Hypothesis
 from .svg import Series, render_line_chart
 
 __all__ = ["main"]
 
-_COMMANDS = ("sense", "sweep-snr", "sweep-pfa", "sweep-factor", "estimate-noise")
+_COMMANDS = {  # command -> its help line
+    "sense": "run one sensing decision on a single synthesized frame",
+    "sweep-snr": "Monte Carlo Pd/Pfa versus SNR",
+    "sweep-pfa": "Monte Carlo Pd/Pfa versus the target false-alarm rate",
+    "sweep-factor": "static-threshold scale-factor study versus SNR",
+    "estimate-noise": "blind noise-power estimate of one synthesized frame",
+}
 _FACTOR_LADDER = (1.0, 1.5, 2.0, 2.5)
+_CHART_LABELS = {  # (title, x-axis label) of each sweep's chart
+    "sweep-snr": ("Detection vs SNR", "SNR (dB)"),
+    "sweep-pfa": ("Detection vs target Pfa", "target Pfa"),
+    "sweep-factor": ("Static threshold factor study", "SNR (dB)"),
+}
 _ENV_SEED = "SPECSENSE_SEED"
 
-_DEFAULTS: dict[str, object] = {
-    "n": 128,
-    "l": 8,
-    "pfa": 0.1,
-    "snr": 0.0,
-    "snr_min": -10.0,
-    "snr_max": 10.0,
-    "snr_step": 2.0,
-    "trials": 10000,
-    "mode": None,  # None: command-dependent (sweeps run both modes)
-    "factor": None,
-    "mismatch_db": 3.0,
-    "m_grid": 100,
-    "seed": 42,
-    "out": None,  # None: derived from the command name
-    "plot": False,
-    "quick": False,
-    "sigma_w2": 1.0,
-    "nominal": None,  # None: equal to sigma_w2
-    "sps": None,  # None: equal to l
-    "workers": 1,
-    "hypothesis": None,  # None: command-dependent
-    "pfa_grid": "0.01,0.02,0.05,0.1,0.2,0.3,0.5",
+# Every option: key -> (type, or the tuple of its choices; default; help).
+# The flag is ``--`` plus the key with ``-`` for ``_``, and a config file
+# may set every key but ``config``.  A default of None is resolved by the
+# command that reads the option.
+_OPTIONS: dict[str, tuple[object, object, str]] = {
+    "n": (int, 128, "detector window length"),
+    "l": (int, 8, "covariance snapshot length"),
+    "pfa": (float, 0.1, "target false-alarm probability"),
+    "snr": (float, 0.0, "SNR in dB for fixed-SNR commands"),
+    "snr_min": (float, -10.0, "sweep grid start (dB)"),
+    "snr_max": (float, 10.0, "sweep grid end (dB)"),
+    "snr_step": (float, 2.0, "sweep grid step (dB)"),
+    "trials": (int, 10000, "Monte Carlo trials per point"),
+    "mode": (("static", "dynamic"), None, "threshold mode (sweeps default to both)"),
+    "factor": (float, None, "static threshold scale factor"),
+    "mismatch_db": (float, 3.0, "half-width of per-trial noise wander (dB)"),
+    "m_grid": (int, 100, "noise-estimator search grid size"),
+    "seed": (int, 42, "master seed"),
+    "out": (str, None, "output path stem or file"),
+    "plot": (bool, False, "also write an SVG chart (sweeps only)"),
+    "config": (str, None, "flat key = value config file"),
+    "quick": (bool, False, "reduce trials tenfold for a fast pass"),
+    "sigma_w2": (float, 1.0, "true noise power (total complex variance)"),
+    "nominal": (float, None, "noise power assumed by the static threshold"),
+    "sps": (int, None, "samples per QPSK symbol (default: snapshot length)"),
+    "workers": (int, 1, "worker processes for sweeps"),
+    "hypothesis": (("h0", "h1"), None, "scenario for single-frame commands"),
+    "pfa_grid": (str, "0.01,0.02,0.05,0.1,0.2,0.3,0.5",
+                 "comma-separated target-Pfa grid for sweep-pfa"),
 }
-
-_INT_KEYS = {"n", "l", "trials", "m_grid", "seed", "sps", "workers"}
-_FLOAT_KEYS = {
-    "snr", "pfa", "snr_min", "snr_max", "snr_step", "factor",
-    "mismatch_db", "sigma_w2", "nominal",
-}
-_BOOL_KEYS = {"plot", "quick"}
-_CHOICE_KEYS = {"mode": ("static", "dynamic"), "hypothesis": ("h0", "h1")}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 class UsageError(Exception):
     """Invalid flag, config key, or value; maps to exit code 2."""
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"{key}: expected a boolean, got {raw!r}")
-
-
 def _coerce(key: str, raw: str) -> object:
+    """A config-file value as its option's type."""
+    kind = _OPTIONS[key][0]
+    value = raw.strip()
+    if isinstance(kind, tuple):
+        if value.lower() not in kind:
+            raise UsageError(f"{key}: must be one of {', '.join(kind)}, got {raw!r}")
+        return value.lower()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise UsageError(f"{key}: expected {kind}, got {raw!r}") from None
-    if key in _BOOL_KEYS:
-        return _parse_bool(key, raw)
-    if key in _CHOICE_KEYS:
-        value = raw.strip().lower()
-        if value not in _CHOICE_KEYS[key]:
-            raise UsageError(
-                f"{key}: must be one of {', '.join(_CHOICE_KEYS[key])}, got {raw!r}"
-            )
-        return value
-    return raw.strip()
+        if kind is bool:
+            return _BOOL_WORDS[value.lower()]
+        return kind(value)
+    except (KeyError, ValueError):
+        raise UsageError(f"{key}: expected {_KIND_NAMES[kind]}, got {raw!r}") from None
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -119,7 +115,7 @@ def _read_config_file(path: str) -> dict[str, object]:
             raise UsageError(f"config: line {lineno}: expected key = value")
         raw_key, raw_value = stripped.split("=", 1)
         key = raw_key.strip().lower().replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS or key == "config":
             raise UsageError(f"config: unknown key {raw_key.strip()!r} (line {lineno})")
         values[key] = _coerce(key, raw_value)
     return values
@@ -134,51 +130,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    descriptions = {
-        "sense": "run one sensing decision on a single synthesized frame",
-        "sweep-snr": "Monte Carlo Pd/Pfa versus SNR",
-        "sweep-pfa": "Monte Carlo Pd/Pfa versus the target false-alarm rate",
-        "sweep-factor": "static-threshold scale-factor study versus SNR",
-        "estimate-noise": "blind noise-power estimate of one synthesized frame",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
-        p.add_argument("--n", type=int, default=None, help="detector window length")
-        p.add_argument("--l", type=int, default=None, help="covariance snapshot length")
-        p.add_argument("--pfa", type=float, default=None, help="target false-alarm probability")
-        p.add_argument("--snr", type=float, default=None, help="SNR in dB for fixed-SNR commands")
-        p.add_argument("--snr-min", type=float, default=None, help="sweep grid start (dB)")
-        p.add_argument("--snr-max", type=float, default=None, help="sweep grid end (dB)")
-        p.add_argument("--snr-step", type=float, default=None, help="sweep grid step (dB)")
-        p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per point")
-        p.add_argument("--mode", choices=("static", "dynamic"), default=None,
-                       help="threshold mode (sweeps default to both)")
-        p.add_argument("--factor", type=float, default=None,
-                       help="static threshold scale factor")
-        p.add_argument("--mismatch-db", type=float, default=None,
-                       help="half-width of per-trial noise wander (dB)")
-        p.add_argument("--m-grid", type=int, default=None,
-                       help="noise-estimator search grid size")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--out", type=str, default=None, help="output path stem or file")
-        p.add_argument("--plot", action=argparse.BooleanOptionalAction, default=None,
-                       help="also write an SVG chart (sweeps only)")
-        p.add_argument("--config", type=str, default=None,
-                       help="flat key = value config file")
-        p.add_argument("--quick", action=argparse.BooleanOptionalAction, default=None,
-                       help="reduce trials tenfold for a fast pass")
-        p.add_argument("--sigma-w2", type=float, default=None,
-                       help="true noise power (total complex variance)")
-        p.add_argument("--nominal", type=float, default=None,
-                       help="noise power assumed by the static threshold")
-        p.add_argument("--sps", type=int, default=None,
-                       help="samples per QPSK symbol (default: snapshot length)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for sweeps")
-        p.add_argument("--hypothesis", choices=("h0", "h1"), default=None,
-                       help="scenario for single-frame commands")
-        p.add_argument("--pfa-grid", type=str, default=None,
-                       help="comma-separated target-Pfa grid for sweep-pfa")
+    for name, help_line in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for key, (kind, _, help_text) in _OPTIONS.items():
+            if kind is bool:
+                spec = {"action": argparse.BooleanOptionalAction}
+            elif isinstance(kind, tuple):
+                spec = {"choices": kind}
+            else:
+                spec = {"type": kind}
+            p.add_argument("--" + key.replace("_", "-"), default=None, help=help_text, **spec)
     return parser
 
 
@@ -207,13 +168,13 @@ def _env_seed() -> int | None:
 
 
 def _merge_options(args: argparse.Namespace) -> _Resolved:
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
     env_seed = _env_seed()
     if env_seed is not None:
         merged["seed"] = env_seed
     if args.config is not None:
         merged.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -265,19 +226,12 @@ def _validate(res: _Resolved) -> None:
             )
 
 
-def _effective_trials(res: _Resolved) -> int:
-    trials = int(res.trials)
-    if res.quick:
-        trials = max(100, trials // 10)
-    return trials
-
-
 def _build_plan(res: _Resolved, hypothesis: Hypothesis) -> TrialPlan:
     sigma_w2 = float(res.sigma_w2)
     nominal = sigma_w2 if res.nominal is None else float(res.nominal)
     factor = 1.0 if res.factor is None else float(res.factor)
     return TrialPlan(
-        n_trials=_effective_trials(res),
+        n_trials=max(100, int(res.trials) // 10) if res.quick else int(res.trials),
         n=int(res.n),
         l=int(res.l),
         target_pfa=float(res.pfa),
@@ -316,18 +270,13 @@ def _cmd_sense(res: _Resolved) -> int:
     _emit("threshold", decision.threshold)
     if estimate is not None:
         _emit("sigma_hat2", estimate.sigma_hat2)
-    _emit(
-        "verdict",
-        "present" if decision.verdict is Verdict.PRESENT_H1 else "absent",
-    )
+    _emit("verdict", "present" if decision.verdict is Verdict.PRESENT_H1 else "absent")
     return 0
 
 
 def _cmd_estimate_noise(res: _Resolved) -> int:
     plan = _single_plan(res, Hypothesis.H0)
-    y1, y0, _ = synthesize_pair(plan, 0)
-    stream = y1 if plan.hypothesis is Hypothesis.H1 else y0
-    estimate = estimate_noise(frame(stream, plan.l, plan.n), plan.m_grid)
+    _, estimate = sense_once(replace(plan, mode=ThresholdMode.DYNAMIC))
     _emit("sigma_hat2", estimate.sigma_hat2)
     _emit("k_hat", estimate.k_hat)
     _emit("beta_hat", estimate.beta_hat)
@@ -352,112 +301,49 @@ def _snr_grid(res: _Resolved) -> list[float]:
     return grid
 
 
-def _out_stem(res: _Resolved, fallback: str) -> str:
-    stem = res.out if res.out is not None else fallback
-    stem = str(stem)
-    if stem.endswith(".csv"):
-        stem = stem[: -len(".csv")]
-    return stem
-
-
-def _modes_for(res: _Resolved) -> tuple[ThresholdMode, ...]:
-    if res.mode == "static":
-        return (ThresholdMode.STATIC,)
-    if res.mode == "dynamic":
-        return (ThresholdMode.DYNAMIC,)
-    return (ThresholdMode.STATIC, ThresholdMode.DYNAMIC)
-
-
-def _mode_name(mode: ThresholdMode) -> str:
-    return "static" if mode is ThresholdMode.STATIC else "dynamic"
-
-
-def _write_mode_curves(
-    curves: dict[ThresholdMode, SweepResult], stem: str
-) -> dict[str, str]:
-    paths = {}
-    for mode, result in curves.items():
-        path = f"{stem}_{_mode_name(mode)}.csv"
-        write_results(result, path)
-        paths[_mode_name(mode)] = path
-    return paths
-
-
-def _plot_curves(
-    labeled: Sequence[tuple[str, SweepResult]],
-    stem: str,
-    title: str,
-    x_label: str,
-) -> str:
-    series = [
-        Series(
-            label=label,
-            x=result.values,
-            y=tuple(point.pd for point in result.points),
-        )
-        for label, result in labeled
-    ]
-    path = f"{stem}.svg"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_line_chart(series, title, x_label, "probability of detection"))
-    return path
-
-
-def _cmd_sweep_snr(res: _Resolved) -> int:
+def _cmd_sweep(res: _Resolved) -> int:
+    """sweep-snr, sweep-pfa or sweep-factor: one CSV per curve, then the chart."""
     plan = _build_plan(res, Hypothesis.H1)
-    grid = _snr_grid(res)
-    curves = sweep_snr(plan, grid, modes=_modes_for(res), workers=int(res.workers))
-    stem = _out_stem(res, "sweep_snr")
-    for name, path in _write_mode_curves(curves, stem).items():
+    workers = int(res.workers)
+    if res.command == "sweep-factor":
+        factors = _FACTOR_LADDER if res.factor is None else (float(res.factor),)
+        curves = sweep_threshold_factor(plan, factors, _snr_grid(res), workers=workers)
+        named = {f"factor_{factor:g}": result for factor, result in curves.items()}
+    else:
+        if res.command == "sweep-snr":
+            sweep, grid = sweep_snr, _snr_grid(res)
+        else:
+            sweep, grid = sweep_pfa, [float(v) for v in str(res.pfa_grid).split(",")]
+        modes = (ThresholdMode.STATIC, ThresholdMode.DYNAMIC)
+        if res.mode is not None:
+            modes = (ThresholdMode(res.mode),)
+        curves = sweep(plan, grid, modes=modes, workers=workers)
+        named = {mode.value: result for mode, result in curves.items()}
+    stem = str(res.out if res.out is not None else res.command.replace("-", "_"))
+    stem = stem.removesuffix(".csv")
+    for name, result in named.items():
+        path = f"{stem}_{name}.csv"
+        write_results(result, path)
         _emit(f"output_csv_{name}", path)
     if res.plot:
-        labeled = [(_mode_name(m), r) for m, r in curves.items()]
-        _emit("output_svg", _plot_curves(labeled, stem, "Detection vs SNR", "SNR (dB)"))
-    return 0
-
-
-def _cmd_sweep_pfa(res: _Resolved) -> int:
-    plan = _build_plan(res, Hypothesis.H1)
-    grid = [float(v) for v in str(res.pfa_grid).split(",")]
-    curves = sweep_pfa(plan, grid, modes=_modes_for(res), workers=int(res.workers))
-    stem = _out_stem(res, "sweep_pfa")
-    for name, path in _write_mode_curves(curves, stem).items():
-        _emit(f"output_csv_{name}", path)
-    if res.plot:
-        labeled = [(_mode_name(m), r) for m, r in curves.items()]
-        _emit(
-            "output_svg",
-            _plot_curves(labeled, stem, "Detection vs target Pfa", "target Pfa"),
-        )
-    return 0
-
-
-def _cmd_sweep_factor(res: _Resolved) -> int:
-    plan = _build_plan(res, Hypothesis.H1)
-    factors = _FACTOR_LADDER if res.factor is None else (float(res.factor),)
-    grid = _snr_grid(res)
-    curves = sweep_threshold_factor(plan, factors, grid, workers=int(res.workers))
-    stem = _out_stem(res, "sweep_factor")
-    paths = {}
-    for factor, result in curves.items():
-        path = f"{stem}_factor_{factor:g}.csv"
-        write_results(result, path)
-        paths[factor] = path
-        _emit(f"output_csv_factor_{factor:g}", path)
-    if res.plot:
-        labeled = [(f"factor {factor:g}", r) for factor, r in curves.items()]
-        _emit(
-            "output_svg",
-            _plot_curves(labeled, stem, "Static threshold factor study", "SNR (dB)"),
-        )
+        series = [
+            Series(label=name.replace("_", " "), x=result.values,
+                   y=tuple(point.pd for point in result.points))
+            for name, result in named.items()
+        ]
+        title, x_label = _CHART_LABELS[res.command]
+        path = f"{stem}.svg"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(render_line_chart(series, title, x_label, "probability of detection"))
+        _emit("output_svg", path)
     return 0
 
 
 _DISPATCH = {
     "sense": _cmd_sense,
-    "sweep-snr": _cmd_sweep_snr,
-    "sweep-pfa": _cmd_sweep_pfa,
-    "sweep-factor": _cmd_sweep_factor,
+    "sweep-snr": _cmd_sweep,
+    "sweep-pfa": _cmd_sweep,
+    "sweep-factor": _cmd_sweep,
     "estimate-noise": _cmd_estimate_noise,
 }
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EnergyStatistic",
     "SensingDecision",
     "ThresholdMode",
     "Verdict",
@@ -43,21 +42,13 @@ class ThresholdMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class EnergyStatistic:
-    """Summed energy of an observation window of ``n`` samples."""
-
-    value: float
-    n: int
-
-
-@dataclass(frozen=True)
 class SensingDecision:
     statistic: float
     threshold: float
     verdict: Verdict
 
 
-def energy_statistic(samples: np.ndarray) -> EnergyStatistic:
+def energy_statistic(samples: np.ndarray) -> float:
     """Energy of the window at the real-sample convention the thresholds assume.
 
     Sums ``2 Re(x)^2`` over the window.  Under H0 each term is a real
@@ -68,7 +59,7 @@ def energy_statistic(samples: np.ndarray) -> EnergyStatistic:
     samples = np.asarray(samples)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
-    return EnergyStatistic(float(_energies(samples)), samples.size)
+    return float(_energies(samples))
 
 
 def _energies(windows: np.ndarray) -> np.ndarray:
@@ -130,12 +121,12 @@ def static_threshold(nominal_factor: float, target_pfa: float, n: int) -> float:
     return dynamic_threshold(nominal_factor, target_pfa, n)
 
 
-def decide(statistic: EnergyStatistic, threshold: float) -> SensingDecision:
+def decide(statistic: float, threshold: float) -> SensingDecision:
     """Compare statistic against threshold; ties resolve to ABSENT_H0."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    verdict = Verdict.PRESENT_H1 if statistic.value > threshold else Verdict.ABSENT_H0
-    return SensingDecision(statistic=statistic.value, threshold=threshold, verdict=verdict)
+    verdict = Verdict.PRESENT_H1 if statistic > threshold else Verdict.ABSENT_H0
+    return SensingDecision(statistic=statistic, threshold=threshold, verdict=verdict)
 
 
 def closed_form_pd(

@@ -7,7 +7,8 @@ per-chunk diagnostics are reduced in fixed chunk order, which keeps CSV
 output byte-identical across reruns.
 
 Trials run in chunks of ``_CHUNK`` (the unit of work a worker process
-takes) and, inside a chunk, in blocks of ``_BLOCK``.  A chunk derives the
+takes; a sweep hands the chunks of all its points to one process pool)
+and, inside a chunk, in blocks of ``_BLOCK``.  A chunk derives the
 generator states of all its trials' substreams in one vectorised seed
 computation.  A block synthesizes the H1 and H0 streams of its trials as
 one stack, only as long as its mode reads (``n`` samples in static mode,
@@ -21,9 +22,10 @@ result does not depend on the block size.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -249,8 +251,8 @@ def sense_once(plan: TrialPlan) -> tuple[SensingDecision, NoiseEstimate | None]:
     return decide(statistic, threshold), estimate
 
 
-def _run_chunk(plan: TrialPlan, start: int, stop: int) -> tuple[int, int, int, float, int]:
-    """Run trials [start, stop) block by block; returns order-independent tallies.
+def _run_chunk(plan: TrialPlan, start: int) -> tuple[int, int, int, float, int]:
+    """Run the chunk of trials from ``start`` block by block; returns its tallies.
 
     A trial fails, and counts in neither rate, when the noise estimate of
     its H1 or its H0 frame fails.
@@ -259,6 +261,7 @@ def _run_chunk(plan: TrialPlan, start: int, stop: int) -> tuple[int, int, int, f
         (h1 detections, h0 detections, failed trials, sum of noise
         estimates, completed trials).
     """
+    stop = min(start + _CHUNK, plan.n_trials)
     det_h1 = 0
     det_h0 = 0
     sigma_sum = 0.0
@@ -293,14 +296,54 @@ def _run_chunk(plan: TrialPlan, start: int, stop: int) -> tuple[int, int, int, f
     return det_h1, det_h0, (stop - start) - completed, sigma_sum, completed
 
 
-def _chunk_bounds(n_trials: int) -> list[tuple[int, int]]:
-    return [(s, min(s + _CHUNK, n_trials)) for s in range(0, n_trials, _CHUNK)]
-
-
 def _ci_halfwidth(p: float, n: int) -> float:
     if n <= 0:
         return math.nan
     return _CI_Z * math.sqrt(p * (1.0 - p) / n)
+
+
+def _point_result(plan: TrialPlan, tallies: list[tuple[int, int, int, float, int]]) -> PointResult:
+    """Reduce one plan's chunk tallies, in chunk order, to its point result."""
+    det_h1, det_h0, failed, completed = (sum(t[i] for t in tallies) for i in (0, 1, 2, 4))
+    sigma_sum = 0.0
+    for t in tallies:  # fixed chunk order: float reduction is reproducible
+        sigma_sum += t[3]
+
+    if failed > 0.01 * plan.n_trials:
+        raise RuntimeError(f"noise estimation failed in {failed}/{plan.n_trials} trials")
+    if completed == 0:
+        raise RuntimeError("no trial completed")
+
+    pd = det_h1 / completed
+    pfa = det_h0 / completed
+    mean_sigma = None
+    if plan.mode is ThresholdMode.DYNAMIC:
+        mean_sigma = sigma_sum / (2.0 * completed)
+    return PointResult(pd=pd, pfa=pfa, pd_ci=_ci_halfwidth(pd, completed),
+                       pfa_ci=_ci_halfwidth(pfa, completed), mean_sigma_hat2=mean_sigma,
+                       failed_trials=failed, n_effective=completed)
+
+
+def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
+    """Run every chunk of every plan, on one process pool when ``workers > 1``.
+
+    Tallies come back in chunk order whatever the worker count, and each
+    plan's are reduced in that order.  The first plan that trips the
+    failure guard raises, and chunks not yet started are dropped.
+    """
+    starts = [range(0, plan.n_trials, _CHUNK) for plan in plans]
+    chunk_plans = [plan for plan, chunks in zip(plans, starts) for _ in chunks]
+    pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
+    try:
+        run = map if pool is None else pool.map
+        tallies = run(_run_chunk, chunk_plans, itertools.chain(*starts))
+        return [
+            _point_result(plan, list(itertools.islice(tallies, len(chunks))))
+            for plan, chunks in zip(plans, starts)
+        ]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_point(plan: TrialPlan, workers: int = 1) -> PointResult:
@@ -315,42 +358,17 @@ def run_point(plan: TrialPlan, workers: int = 1) -> PointResult:
         plan: the point description.
         workers: process count; results are identical for any value.
     """
-    bounds = _chunk_bounds(plan.n_trials)
-    if workers <= 1:
-        tallies = [_run_chunk(plan, s, e) for s, e in bounds]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(_run_chunk, *zip(*[(plan, s, e) for s, e in bounds])))
+    return _run_points([plan], workers)[0]
 
-    det_h1 = sum(t[0] for t in tallies)
-    det_h0 = sum(t[1] for t in tallies)
-    failed = sum(t[2] for t in tallies)
-    completed = sum(t[4] for t in tallies)
-    sigma_sum = 0.0
-    for t in tallies:  # fixed chunk order: float reduction is reproducible
-        sigma_sum += t[3]
 
-    if failed > 0.01 * plan.n_trials:
-        raise RuntimeError(
-            f"noise estimation failed in {failed}/{plan.n_trials} trials"
-        )
-    if completed == 0:
-        raise RuntimeError("no trial completed")
-
-    pd = det_h1 / completed
-    pfa = det_h0 / completed
-    mean_sigma = None
-    if plan.mode is ThresholdMode.DYNAMIC:
-        mean_sigma = sigma_sum / (2.0 * completed)
-    return PointResult(
-        pd=pd,
-        pfa=pfa,
-        pd_ci=_ci_halfwidth(pd, completed),
-        pfa_ci=_ci_halfwidth(pfa, completed),
-        mean_sigma_hat2=mean_sigma,
-        failed_trials=failed,
-        n_effective=completed,
-    )
+def _sweep(curves: dict, sweep_name: str, values: Sequence[float], workers: int) -> dict:
+    """Run the plans of every curve as one batch; one SweepResult per curve."""
+    points = iter(_run_points([p for plans in curves.values() for p in plans], workers))
+    values = tuple(float(v) for v in values)
+    return {
+        key: SweepResult(sweep_name, values, tuple(itertools.islice(points, len(plans))))
+        for key, plans in curves.items()
+    }
 
 
 def _snr_to_sigma_s2(plan: TrialPlan, snr_db_value: float) -> float:
@@ -368,17 +386,12 @@ def sweep_snr(
     All modes and points share the master seed, so curves are paired
     trial-for-trial and differences reflect thresholds, not sampling noise.
     """
-    out: dict[ThresholdMode, SweepResult] = {}
-    for mode in modes:
-        points = []
-        for snr in snr_grid_db:
-            p = replace(plan, mode=mode, sigma_s2=_snr_to_sigma_s2(plan, snr))
-            points.append(run_point(p, workers=workers))
-        out[mode] = SweepResult(
-            sweep_name="snr_db", values=tuple(float(s) for s in snr_grid_db),
-            points=tuple(points),
-        )
-    return out
+    curves = {
+        mode: [replace(plan, mode=mode, sigma_s2=_snr_to_sigma_s2(plan, snr))
+               for snr in snr_grid_db]
+        for mode in modes
+    }
+    return _sweep(curves, "snr_db", snr_grid_db, workers)
 
 
 def sweep_pfa(
@@ -388,17 +401,11 @@ def sweep_pfa(
     workers: int = 1,
 ) -> dict[ThresholdMode, SweepResult]:
     """Pd/Pfa versus the target false-alarm setting at fixed SNR."""
-    out: dict[ThresholdMode, SweepResult] = {}
-    for mode in modes:
-        points = []
-        for pfa in pfa_grid:
-            p = replace(plan, mode=mode, target_pfa=float(pfa))
-            points.append(run_point(p, workers=workers))
-        out[mode] = SweepResult(
-            sweep_name="target_pfa", values=tuple(float(v) for v in pfa_grid),
-            points=tuple(points),
-        )
-    return out
+    curves = {
+        mode: [replace(plan, mode=mode, target_pfa=float(pfa)) for pfa in pfa_grid]
+        for mode in modes
+    }
+    return _sweep(curves, "target_pfa", pfa_grid, workers)
 
 
 def sweep_threshold_factor(
@@ -412,22 +419,15 @@ def sweep_threshold_factor(
     Factor f runs the static detector with threshold f times the unit-
     nominal value, i.e. an assumed noise power of f.
     """
-    out: dict[float, SweepResult] = {}
-    for factor in factors:
-        points = []
-        for snr in snr_grid_db:
-            p = replace(
-                plan,
-                mode=ThresholdMode.STATIC,
-                sigma_nominal2=float(factor),
-                sigma_s2=_snr_to_sigma_s2(plan, snr),
-            )
-            points.append(run_point(p, workers=workers))
-        out[float(factor)] = SweepResult(
-            sweep_name="snr_db", values=tuple(float(s) for s in snr_grid_db),
-            points=tuple(points),
-        )
-    return out
+    curves = {
+        float(factor): [
+            replace(plan, mode=ThresholdMode.STATIC, sigma_nominal2=float(factor),
+                    sigma_s2=_snr_to_sigma_s2(plan, snr))
+            for snr in snr_grid_db
+        ]
+        for factor in factors
+    }
+    return _sweep(curves, "snr_db", snr_grid_db, workers)
 
 
 _CSV_HEADER = "sweep_value,pd,pfa,pd_ci,pfa_ci,mean_sigma_hat2,failed_trials"

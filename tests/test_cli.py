@@ -1,6 +1,7 @@
 """Tests of the command-line front end: parsing, precedence, exit codes."""
 import pytest
 
+from specsense import cli
 from specsense.cli import main
 from specsense.detector import ThresholdMode
 from specsense.harness import TrialPlan, run_point, sweep_snr, write_results
@@ -233,3 +234,38 @@ def test_quick_flag_reduces_work(tmp_path, monkeypatch, capsys):
     # CI halfwidth implies the trial count: 300, not 3000
     implied = 2.576 ** 2 * pfa * (1 - pfa) / ci**2
     assert 250 < implied < 350
+
+
+def _sample(kind) -> tuple[str, object]:
+    """A non-default value of an option kind, as config text and as parsed."""
+    if isinstance(kind, tuple):
+        return kind[-1], kind[-1]
+    return {int: ("3", 3), float: ("0.25", 0.25), bool: ("yes", True), str: ("abc", "abc")}[kind]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_option_resolves_alike_from_flag_and_config(command, tmp_path):
+    keys = [key for key in cli._OPTIONS if key != "config"]
+    argv, lines = [command], []
+    for key in keys:
+        kind = cli._OPTIONS[key][0]
+        text, _ = _sample(kind)
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if kind is bool else [flag, text]
+        lines.append(f"{key} = {text}")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("\n".join(lines) + "\n")
+    parser = cli._build_parser()
+    from_flags = cli._merge_options(parser.parse_args(argv)).options
+    from_config = cli._merge_options(parser.parse_args([command, "--config", str(cfg)])).options
+    for key in keys:
+        want = _sample(cli._OPTIONS[key][0])[1]
+        assert from_flags[key] == from_config[key] == want, key
+        assert type(from_flags[key]) is type(from_config[key]) is type(want), key
+
+
+def test_config_cannot_name_another_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("config = other.txt\n")
+    assert main(["sense", "--config", str(cfg)]) == 2
+    assert "unknown key 'config'" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from specsense.detector import (
-    EnergyStatistic,
     Verdict,
     closed_form_pd,
     closed_form_pfa,
@@ -103,8 +102,8 @@ def test_energy_statistic_hand_value():
     samples = np.array([1 + 1j, -2.0, 0.5j], dtype=np.complex128)
     stat = energy_statistic(samples)
     # 2 Re(x)^2 summed: 2 * (1 + 4 + 0)
-    np.testing.assert_allclose(stat.value, 10.0, rtol=1e-15)
-    assert stat.n == 3
+    assert type(stat) is float
+    np.testing.assert_allclose(stat, 10.0, rtol=1e-15)
 
 
 def test_public_recipe_hits_target_pfa():
@@ -125,7 +124,7 @@ def test_energy_statistic_rejects_empty():
 
 
 def test_decide_tie_resolves_absent():
-    stat = EnergyStatistic(value=10.0, n=4)
+    stat = 10.0
     assert decide(stat, 10.0).verdict is Verdict.ABSENT_H0
     assert decide(stat, 9.999).verdict is Verdict.PRESENT_H1
     assert decide(stat, 10.001).verdict is Verdict.ABSENT_H0
@@ -133,7 +132,7 @@ def test_decide_tie_resolves_absent():
 
 def test_decide_rejects_nonfinite_threshold():
     with pytest.raises(ValueError):
-        decide(EnergyStatistic(value=1.0, n=1), math.inf)
+        decide(1.0, math.inf)
 
 
 def test_closed_form_pfa_inverts_threshold():

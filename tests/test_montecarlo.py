@@ -1,4 +1,5 @@
 """Tests of the Monte Carlo harness: pairing, reductions, CSV output."""
+import concurrent.futures
 import io
 import math
 from dataclasses import replace
@@ -292,6 +293,39 @@ def test_sweep_factor_orders_pd_exactly_under_pairing():
         pds = [curves[f].points[idx].pd for f in (1.0, 1.5, 2.0, 2.5)]
         # same streams, rising thresholds: detection can only shrink
         assert pds[0] >= pds[1] >= pds[2] >= pds[3]
+
+
+def test_sweep_runs_every_point_on_one_pool(monkeypatch):
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args or kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    plan = _static_plan(n_trials=200, n=64)
+    curves = sweep_snr(plan, [-4.0, 0.0], workers=2)  # 2 modes x 2 SNRs
+    assert len(made) == 1
+    assert curves == sweep_snr(plan, [-4.0, 0.0], workers=1)
+    assert len(made) == 1  # one worker runs in-process
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_raises_for_its_first_failing_point(workers):
+    # l=3 at 2 samples per symbol: the signal fills all but one eigenvalue,
+    # so estimation fails in most high-SNR trials; -20 dB stays clear
+    plan = _static_plan(mode=ThresholdMode.DYNAMIC, n_trials=200, n=32, l=3,
+                        samples_per_symbol=2, sigma_s2=0.01)
+    assert run_point(plan).failed_trials <= 2
+    with pytest.raises(RuntimeError) as second:
+        run_point(replace(plan, sigma_s2=100.0))
+    with pytest.raises(RuntimeError) as third:
+        run_point(replace(plan, sigma_s2=1.0))
+    assert str(second.value) != str(third.value)
+    with pytest.raises(RuntimeError) as swept:
+        sweep_snr(plan, [-20.0, 20.0, 0.0], modes=(ThresholdMode.DYNAMIC,), workers=workers)
+    assert str(swept.value) == str(second.value) == "noise estimation failed in 200/200 trials"
 
 
 def test_write_results_csv_layout():

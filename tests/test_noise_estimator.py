@@ -485,3 +485,85 @@ def test_batch_validates_arguments():
     frames[1, 3, 5] = np.nan
     with pytest.raises(ValueError):
         estimate_noise_batch(frames, m_grid=10)
+
+
+# ------------------------------------------------------- spectra at the edges
+
+
+def _planted_frame(rng: np.random.Generator, eigenvalues, n: int, mix: bool) -> np.ndarray:
+    """An L x N frame whose sample covariance has the given spectrum.
+
+    ``sqrt(N lam)`` on the diagonal gives a diagonal covariance whose
+    eigenvalues are ``lam`` to within an ulp or two; ``mix`` rotates the
+    rows by a random unitary, which moves them by a few ulps more.
+    """
+    l = len(eigenvalues)
+    data = np.zeros((l, n), dtype=np.complex128)
+    data[np.arange(l), np.arange(l)] = np.sqrt(n * np.asarray(eigenvalues))
+    if mix:
+        g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
+        q, _ = np.linalg.qr(g)
+        data = q @ data
+    return data
+
+
+def _assert_rows_agree(frames: np.ndarray, m_grid: int) -> list:
+    """Each batch row against the single-frame estimate, its MDL count and bounds."""
+    got = estimate_noise_batch(frames, m_grid)
+    estimates = []
+    for row, data in zip(got.tolist(), frames):
+        frm = SampleFrame(data=data)
+        est = estimate_noise(frm, m_grid)
+        assert row == est.sigma_hat2
+        assert est.k_hat == mdl_signal_count(eigenvalues_hermitian(sample_covariance(frm)), frm.n)
+        assert est.sigma_lo2 <= est.sigma_hat2 <= est.sigma_hi2
+        estimates.append(est)
+    return estimates
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    l=st.integers(3, 16),
+    ratio=st.sampled_from([2, 4, 8, 16]),
+    rows=st.integers(1, 4),
+    mix=st.booleans(),
+)
+def test_mdl_split_at_l_minus_2_leaves_two_noise_eigenvalues(seed, l, ratio, rows, mix):
+    # L-2 eigenvalues 50-1000x the noise above a pair at most 5% apart
+    rng = np.random.default_rng(seed)
+    n = ratio * l
+    frames = []
+    for _ in range(rows):
+        sigma2 = 10.0 ** rng.uniform(-3.0, 3.0)
+        signal = np.sort(sigma2 * rng.uniform(50.0, 1000.0, l - 2))[::-1]
+        noise = sigma2 * np.array([1.0 + rng.uniform(0.0, 0.05), 1.0])
+        frames.append(_planted_frame(rng, np.concatenate([signal, noise]), n, mix))
+    for est in _assert_rows_agree(np.stack(frames), m_grid=50):
+        assert est.k_hat == l - 2
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    level=st.floats(1e-3, 1e3),
+    ulps=st.lists(st.integers(0, 6), min_size=2, max_size=16),
+    upper=st.integers(0, 14),
+    gap=st.sampled_from([1.0, 1.0 + 2.0**-40, 3.0, 100.0]),
+    ratio=st.sampled_from([2, 8]),
+    mix=st.booleans(),
+)
+def test_clustered_spectra_a_few_ulps_apart(seed, level, ulps, upper, gap, ratio, mix):
+    # one or two clusters of eigenvalues a few ulps apart; the lower holds
+    # at least two, so MDL leaves a noise subspace to fit
+    l = len(ulps)
+    upper = min(upper, l - 2)
+    eigs = level * (1.0 + np.ldexp(np.array(ulps, dtype=float), -52))
+    eigs[:upper] *= gap
+    eigs = np.sort(eigs)[::-1]
+    rng = np.random.default_rng(seed)
+    frames = np.stack([_planted_frame(rng, eigs, ratio * l, mix),
+                       _planted_frame(rng, 0.5 * eigs, ratio * l, not mix)])
+    estimates = _assert_rows_agree(frames, m_grid=100)
+    for est in estimates:
+        assert est.k_hat in (0, upper)
