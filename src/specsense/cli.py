@@ -9,6 +9,7 @@ built-in defaults.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -183,6 +184,9 @@ def _merge_options(args: argparse.Namespace) -> _Resolved:
 
 def _validate(res: _Resolved) -> None:
     o = res.options
+    for key, (kind, _, _) in _OPTIONS.items():
+        if kind is float and o[key] is not None and not math.isfinite(o[key]):
+            raise UsageError(f"{key.replace('_', '-')}: must be finite (got {o[key]})")
     if o["l"] < 2:
         raise UsageError(f"l: must be at least 2 (got {o['l']})")
     if o["n"] < o["l"]:

@@ -11,13 +11,16 @@ takes; a sweep hands the chunks of all its points to one process pool)
 and, inside a chunk, in blocks of ``_BLOCK``.  A chunk derives the
 generator states of all its trials' substreams in one vectorised seed
 computation.  A block synthesizes the H1 and H0 streams of its trials as
-one stack, only as long as its mode reads (``n`` samples in static mode,
-``l * n`` in dynamic mode), and runs each pipeline stage once over the
-stack: the energy statistics, then in dynamic mode one stacked blind noise
-estimate (covariance, eigenvalues, MDL split, Marchenko-Pastur fit).  Each
-row of a stacked stage is bit-for-bit the single-frame result, and the
-noise estimates are summed trial by trial in trial order, so a point's
-result does not depend on the block size.
+one stack holding only what its mode reads: in static mode the real parts
+of the first ``n`` samples, as float64 (``n`` normals per noise row), in
+dynamic mode ``l * n`` complex samples.  It then runs each pipeline
+stage once over the stack: the energy statistics, then in dynamic mode
+one stacked blind noise estimate (covariance, eigenvalues, MDL split,
+Marchenko-Pastur fit).  Each row of a stacked stage is bit-for-bit the
+single-frame result, and the noise estimates are summed trial by trial in
+trial order, so a point's result does not depend on the block size.  A
+sweep's pool has no more processes than chunks; with one process the
+chunks run in-process.
 """
 from __future__ import annotations
 
@@ -42,9 +45,9 @@ from .noise_estimator import NoiseEstimate, estimate_noise, estimate_noise_batch
 from .signal_model import (
     Hypothesis,
     _awgn_rows,
-    _generators,
     _pcg64_states,
     _qpsk_rows,
+    _uniforms,
     derive_seed,
     frame,
 )
@@ -119,6 +122,9 @@ class TrialPlan:
             raise ValueError("need l >= 2 and n >= l")
         if not 0.0 < self.target_pfa < 1.0:
             raise ValueError("target_pfa must lie strictly between 0 and 1")
+        floats = (self.sigma_w2_true, self.sigma_nominal2, self.sigma_s2, self.mismatch_db)
+        if not all(math.isfinite(value) for value in floats):
+            raise ValueError("noise powers, sigma_s2 and mismatch_db must be finite")
         if self.sigma_w2_true <= 0.0 or self.sigma_nominal2 <= 0.0:
             raise ValueError("noise powers must be positive")
         if self.sigma_s2 < 0.0:
@@ -202,25 +208,25 @@ def _synthesize(
 
     ``states`` holds the block's rows of :func:`_trial_states`.  Rows 2i
     and 2i + 1 of the returned stack are the H1 and H0 streams of the
-    block's trial i, and the list holds each trial's true noise power.  In
-    their real parts, streams shorter than ``plan.l * plan.n`` samples are
-    bit-for-bit prefixes of the full streams; the imaginary parts of their
-    noise come from other draws.
+    block's trial i, and the list holds each trial's true noise power.
+    Full streams, of ``plan.l * plan.n`` samples, are complex.  A shorter
+    stream is what static mode reads, the real parts of the first samples,
+    so it comes back as float64 and draws no imaginary parts: bit for bit
+    the real parts of the full stream's prefix.
     """
     roles = _roles(plan)
-    generators = _generators(states.reshape(-1, 4))
-    rngs = {role: generators[c :: len(roles)] for c, role in enumerate(roles)}
+    column = {role: states[:, c] for c, role in enumerate(roles)}
     sigma_true = [plan.sigma_w2_true] * len(states)
     if plan.mismatch_db > 0.0:
         sigma_true = [
-            plan.sigma_w2_true
-            * 10.0 ** (rng.uniform(-plan.mismatch_db, plan.mismatch_db) / 10.0)
-            for rng in rngs[_ROLE_MISMATCH]
+            plan.sigma_w2_true * 10.0 ** (offset / 10.0)
+            for offset in _uniforms(column[_ROLE_MISMATCH], plan.mismatch_db)
         ]
-    streams = np.empty((len(states), 2, n_samples), dtype=np.complex128)
-    _awgn_rows(rngs[_ROLE_NOISE], sigma_true, streams[:, 1])
+    real = n_samples < plan.l * plan.n
+    streams = np.empty((len(states), 2, n_samples), np.float64 if real else np.complex128)
+    _awgn_rows(column[_ROLE_NOISE], sigma_true, streams[:, 1])
     if plan.sigma_s2 > 0.0:
-        signal = _qpsk_rows(rngs[_ROLE_SIGNAL], n_samples, plan.sigma_s2, plan.sps)
+        signal = _qpsk_rows(column[_ROLE_SIGNAL], n_samples, plan.sigma_s2, plan.sps, real)
         np.add(signal, streams[:, 1], out=streams[:, 0])
     else:
         streams[:, 0] = streams[:, 1]
@@ -325,7 +331,9 @@ def _point_result(plan: TrialPlan, tallies: list[tuple[int, int, int, float, int
 
 
 def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
-    """Run every chunk of every plan, on one process pool when ``workers > 1``.
+    """Run every chunk of every plan, on one process pool of at most
+    ``workers`` processes and no more than there are chunks; with one
+    process, in-process.
 
     Tallies come back in chunk order whatever the worker count, and each
     plan's are reduced in that order.  The first plan that trips the
@@ -333,6 +341,7 @@ def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
     """
     starts = [range(0, plan.n_trials, _CHUNK) for plan in plans]
     chunk_plans = [plan for plan, chunks in zip(plans, starts) for _ in chunks]
+    workers = min(workers, len(chunk_plans))
     pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         run = map if pool is None else pool.map

@@ -3,12 +3,23 @@
 All randomness flows through integer seeds so that every trial of a larger
 experiment can be reproduced bit-for-bit from a single master seed.  Seeds
 and generator states come from numpy's ``SeedSequence`` mixing, computed
-over whole columns of seeds at once, and streams are drawn row by row into
-stacked buffers; one stream is the stack of one.
+for whole columns of seeds at once on one ``(4, rows)`` pool array, and
+streams are drawn row by row into stacked buffers; one stream is the stack
+of one.  Each row draws only the numbers its reader uses, bit for bit what
+``numpy.random.default_rng(seed)`` would give:
+
+* noise rows draw normals through a ``Generator``: a complex row draws all
+  its real parts, then all its imaginary parts; a float64 row, the real
+  parts alone;
+* QPSK symbol indices and the uniform draws of a noise-power wander are
+  taken straight from raw PCG64 output words, with the bit layouts of
+  ``Generator.integers(0, 4)`` and ``Generator.uniform``, so those rows
+  need a bit generator but no ``Generator``.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,18 +110,30 @@ def _int_words(value: int) -> list[int]:
     return words
 
 
-def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix; its multiplier advances on every call."""
-    const = init
+@functools.lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, calls: int) -> tuple:
+    """The constants of the first ``calls`` hashmix calls of one SeedSequence
+    hasher, which do not depend on the data: call k xors its value with
+    ``xor[k]``, then multiplies it by ``mul[k]``, the next constant.
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> _XSHIFT
+    Returns ``(xor, mul, xor_columns, mul_columns)``: tuples of ints, and
+    the same values as read-only ``(calls, 1)`` uint32 columns.
+    """
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    xor, mul = tuple(consts[:-1]), tuple(consts[1:])
+    columns = [np.array(values, np.uint32)[:, None] for values in (xor, mul)]
+    for column in columns:
+        column.flags.writeable = False
+    return xor, mul, *columns
 
-    return hashmix
+
+def _hashmix(value, xor, mul):
+    """SeedSequence's hashmix of one word with int constants, or of several
+    pool words at once with a uint32 column of constants per word."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> _XSHIFT
 
 
 def _mix(x, y):
@@ -118,27 +141,54 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
-def _seed_sequence_state(entropy: list, n_words: int) -> list:
-    """``SeedSequence(entropy).generate_state(n_words)``, one 32-bit word per column.
+# The pool words each pool word is mixed into.
+_OTHERS = tuple([dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE))
+
+
+def _seed_sequence_state(entropy: list, n_words: int):
+    """``SeedSequence(entropy).generate_state(n_words)``, for every row at once.
 
     Each entropy word is an ``int``, the same on every row, or a uint32
-    array with one value per row; arrays broadcast together.  The hash
-    constants do not depend on the data, so the mixing runs at full width
-    only from the first array word on, and the columns come out as ints if
-    every word is one.  Words missing below the pool size hash as 0, as in
-    numpy.  Python ints are masked to 32 bits; uint32 arrays wrap.
+    array with one value per row; arrays broadcast together.  Words missing
+    below the pool size hash as 0, as in numpy.  The pool is a list of
+    Python ints while every word is an int, and the result is then a list
+    of ``n_words`` ints.  From the first array word on, the pool is one
+    ``(4, rows)`` uint32 array: a pool word is hashed into its three
+    destinations in one step, a further entropy word into all four pool
+    words in one step, and the result is an ``(n_words, rows)`` uint32
+    array.
     """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    output = _hasher(_INIT_B, _MULT_B)
-    return [output(pool[i % _POOL_SIZE]) for i in range(n_words)]
+    words = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
+    # 4 initial hashes, 12 cross mixes, then 4 hashes per further word.
+    xor, mul, xor_col, mul_col = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(words))
+    head = words[:_POOL_SIZE]
+    if all(isinstance(word, int) for word in head):
+        pool = [_hashmix(word, x, m) for word, x, m in zip(head, xor, mul)]
+        call = _POOL_SIZE
+        for src in range(_POOL_SIZE):
+            for dst in _OTHERS[src]:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[call], mul[call]))
+                call += 1
+    else:
+        head = np.broadcast_arrays(*(np.asarray(word, np.uint32) for word in head))
+        pool = _hashmix(np.stack(head), xor_col[:_POOL_SIZE], mul_col[:_POOL_SIZE])
+        for src in range(_POOL_SIZE):
+            calls = slice(_POOL_SIZE + 3 * src, _POOL_SIZE + 3 * src + 3)
+            dst = _OTHERS[src]
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor_col[calls], mul_col[calls]))
+    for i in range(_POOL_SIZE, len(words)):
+        calls = slice(_POOL_SIZE * i, _POOL_SIZE * (i + 1))
+        if isinstance(pool, list) and isinstance(words[i], int):
+            hashed = [_hashmix(words[i], x, m) for x, m in zip(xor[calls], mul[calls])]
+            pool = [_mix(p, h) for p, h in zip(pool, hashed)]
+        else:
+            if isinstance(pool, list):
+                pool = np.array(pool, np.uint32)[:, None]
+            pool = _mix(pool, _hashmix(words[i], xor_col[calls], mul_col[calls]))
+    xor, mul, xor_col, mul_col = _hash_constants(_INIT_B, _MULT_B, n_words)
+    if isinstance(pool, list):
+        return [_hashmix(pool[i % _POOL_SIZE], xor[i], mul[i]) for i in range(n_words)]
+    return _hashmix(pool[[i % _POOL_SIZE for i in range(n_words)]], xor_col, mul_col)
 
 
 def _join_words(lo, hi):
@@ -162,19 +212,16 @@ def _pcg64_states(seeds) -> np.ndarray:
         entropy = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
     else:
         entropy = _int_words(seeds)
-    words = _seed_sequence_state(entropy, 8)
-    states = np.empty((np.size(seeds), 4), np.uint64)
-    for k in range(4):
-        states[:, k] = _join_words(words[2 * k], words[2 * k + 1])
-    return states
+    words = np.asarray(_seed_sequence_state(entropy, 8), np.uint64).reshape(8, -1)
+    return np.ascontiguousarray(_join_words(words[0::2], words[1::2]).T)
 
 
 _STATE_WORDS: type | None = None
 
 
-def _generators(states: np.ndarray) -> list:
-    """One ``numpy.random.Generator`` per row of :func:`_pcg64_states`, each
-    in the state ``default_rng(seed)`` starts in."""
+def _bit_generators(states: np.ndarray) -> list:
+    """One ``numpy.random.PCG64`` per row of :func:`_pcg64_states`, each in
+    the state the bit generator of ``default_rng(seed)`` starts in."""
     global _STATE_WORDS
     if _STATE_WORDS is None:
         # Made on first use, not at import: numpy loads numpy.random when
@@ -189,29 +236,63 @@ def _generators(states: np.ndarray) -> list:
                 return self.words
 
         _STATE_WORDS = StateWords
-    return [np.random.Generator(np.random.PCG64(_STATE_WORDS(row))) for row in states]
+    return [np.random.PCG64(_STATE_WORDS(row)) for row in states]
 
 
-def _qpsk_rows(rngs: list, n_samples: int, sigma_s2: float, samples_per_symbol: int) -> np.ndarray:
-    """One QPSK stream of ``n_samples`` samples per generator, as rows."""
+def _qpsk_indices(states: np.ndarray, n_symbols: int) -> np.ndarray:
+    """``default_rng(seed).integers(0, 4, size=n_symbols)`` of each row's seed, as rows.
+
+    numpy draws each integer below 4 from one 32-bit half of a PCG64 output
+    word, low half first, and keeps the half's top two bits (Lemire's
+    method, which never rejects when the range divides 2**32).
+    """
+    n_words = -(-n_symbols // 2)
+    raw = np.empty((len(states), n_words), np.uint64)
+    for bit_generator, row in zip(_bit_generators(states), raw):
+        row[:] = bit_generator.random_raw(n_words)
+    halves = np.stack((raw >> np.uint64(30) & np.uint64(3), raw >> np.uint64(62)), axis=-1)
+    return halves.reshape(len(states), -1)[:, :n_symbols]
+
+
+def _uniforms(states: np.ndarray, half_width: float) -> list[float]:
+    """``default_rng(seed).uniform(-half_width, half_width)`` of each row's seed.
+
+    numpy returns ``low + (high - low) * u``, where ``u`` is the top 53 bits
+    of one PCG64 output word times 2**-53.
+    """
+    return [-half_width + 2.0 * half_width * ((bit_generator.random_raw() >> 11) * 2.0**-53)
+            for bit_generator in _bit_generators(states)]
+
+
+def _qpsk_rows(states: np.ndarray, n_samples: int, sigma_s2: float, samples_per_symbol: int,
+               real: bool = False) -> np.ndarray:
+    """One QPSK stream of ``n_samples`` samples per state row, as rows; with
+    ``real``, only the streams' real parts, as float64."""
     n_symbols = -(-n_samples // samples_per_symbol)  # ceil division
-    idx = np.empty((len(rngs), n_symbols), np.int64)
-    for rng, row in zip(rngs, idx):
-        row[:] = rng.integers(0, 4, size=n_symbols)
-    symbols = math.sqrt(sigma_s2 / 2.0) * _QPSK_POINTS[idx]
+    points = _QPSK_POINTS.real if real else _QPSK_POINTS
+    symbols = math.sqrt(sigma_s2 / 2.0) * points[_qpsk_indices(states, n_symbols)]
     if samples_per_symbol == 1:
         return symbols
     return np.repeat(symbols, samples_per_symbol, axis=1)[:, :n_samples]
 
 
-def _awgn_rows(rngs: list, sigma_w2, out: np.ndarray) -> None:
-    """Fill row i of the complex array ``out`` with noise of total power
-    ``sigma_w2[i]`` from generator i, which draws every real part first."""
-    parts = np.empty((len(rngs), 2, out.shape[1]))
-    for rng, row in zip(rngs, parts):
-        rng.standard_normal(out=row)
+def _awgn_rows(states: np.ndarray, sigma_w2, out: np.ndarray) -> None:
+    """Fill row i of ``out`` with noise of total power ``sigma_w2[i]`` from
+    the generator of state row i.
+
+    A complex row draws every real part first, then every imaginary part.
+    A float64 row draws only the real parts, so it holds the real parts of
+    the complex row of the same length.
+    """
     scale = np.sqrt(np.asarray(sigma_w2, dtype=np.float64) / 2.0)[:, None]
-    np.multiply(scale, parts[:, 0] + 1j * parts[:, 1], out=out)
+    complex_rows = np.iscomplexobj(out)
+    parts = np.empty((len(states), 2, out.shape[1])) if complex_rows else out
+    for bit_generator, row in zip(_bit_generators(states), parts):
+        np.random.Generator(bit_generator).standard_normal(out=row)
+    if complex_rows:
+        np.multiply(scale, parts[:, 0] + 1j * parts[:, 1], out=out)
+    else:
+        out *= scale
 
 
 def generate_qpsk(
@@ -244,8 +325,7 @@ def generate_qpsk(
         raise ValueError("sigma_s2 must be positive")
     if samples_per_symbol < 1:
         raise ValueError("samples_per_symbol must be >= 1")
-    rngs = _generators(_pcg64_states(seed))
-    return _qpsk_rows(rngs, n_samples, sigma_s2, samples_per_symbol)[0]
+    return _qpsk_rows(_pcg64_states(seed), n_samples, sigma_s2, samples_per_symbol)[0]
 
 
 def add_awgn(stream: np.ndarray, sigma_w2: float, seed: int) -> np.ndarray:
@@ -266,7 +346,7 @@ def add_awgn(stream: np.ndarray, sigma_w2: float, seed: int) -> np.ndarray:
         raise ValueError("sigma_w2 must be positive")
     stream = np.asarray(stream, dtype=np.complex128)
     w = np.empty((1, stream.size), dtype=np.complex128)
-    _awgn_rows(_generators(_pcg64_states(seed)), [sigma_w2], w)
+    _awgn_rows(_pcg64_states(seed), [sigma_w2], w)
     return stream + w.reshape(stream.shape)
 
 

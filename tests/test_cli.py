@@ -269,3 +269,24 @@ def test_config_cannot_name_another_config(tmp_path, capsys):
     cfg.write_text("config = other.txt\n")
     assert main(["sense", "--config", str(cfg)]) == 2
     assert "unknown key 'config'" in capsys.readouterr().err
+
+
+_FLOAT_KEYS = [key for key, (kind, _, _) in cli._OPTIONS.items() if kind is float]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_float_option_exits_two(key, value, source, tmp_path, capsys):
+    # An infinite --snr-max once made the SNR grid loop forever, a nan
+    # --nominal gave Pd = 0 and a nan --mismatch-db switched the wander off.
+    name = key.replace("_", "-")
+    if source == "flag":
+        argv = ["sweep-snr", f"--{name}={value}"]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = ["sweep-snr", "--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "never")]) == 2
+    assert f"{name}: must be finite" in capsys.readouterr().err
+    assert list(tmp_path.glob("never*")) == []

@@ -70,6 +70,13 @@ def test_trial_plan_validation():
     _static_plan(master_seed=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["sigma_w2_true", "sigma_nominal2", "sigma_s2", "mismatch_db"])
+def test_trial_plan_rejects_non_finite_floats(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        _static_plan(**{field: value})
+
+
 def test_sps_defaults_to_snapshot_length():
     assert _static_plan().sps == 8
     assert _static_plan(samples_per_symbol=2).sps == 2
@@ -295,20 +302,35 @@ def test_sweep_factor_orders_pd_exactly_under_pairing():
         assert pds[0] >= pds[1] >= pds[2] >= pds[3]
 
 
-def test_sweep_runs_every_point_on_one_pool(monkeypatch):
-    made = []
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every process pool built while the test runs."""
+    sizes = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(args or kwargs)
-            super().__init__(*args, **kwargs)
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return sizes
+
+
+def test_sweep_runs_every_point_on_one_pool(pool_sizes):
     plan = _static_plan(n_trials=200, n=64)
     curves = sweep_snr(plan, [-4.0, 0.0], workers=2)  # 2 modes x 2 SNRs
-    assert len(made) == 1
+    assert pool_sizes == [2]
     assert curves == sweep_snr(plan, [-4.0, 0.0], workers=1)
-    assert len(made) == 1  # one worker runs in-process
+    assert pool_sizes == [2]  # one worker runs in-process
+
+
+def test_pool_has_no_more_processes_than_chunks(pool_sizes):
+    plan = _static_plan(n_trials=harness._CHUNK, n=64)
+    assert run_point(plan, workers=2) == run_point(plan)
+    assert pool_sizes == []  # one chunk runs in-process
+    curves = sweep_snr(plan, [-4.0, 0.0, 4.0], modes=(ThresholdMode.STATIC,), workers=8)
+    assert pool_sizes == [3]
+    assert curves == sweep_snr(plan, [-4.0, 0.0, 4.0], modes=(ThresholdMode.STATIC,))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from specsense.signal_model import (
     SampleFrame,
-    _generators,
+    _bit_generators,
     _pcg64_states,
+    _qpsk_indices,
+    _uniforms,
     add_awgn,
     derive_seed,
     frame,
@@ -152,10 +154,33 @@ def test_pcg64_states_equal_seed_sequence(extra):
         want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
         np.testing.assert_array_equal(row, want)
         np.testing.assert_array_equal(_pcg64_states(seed)[0], want)
-    for seed, rng in zip(seeds, _generators(states)):
+    for seed, bit_generator in zip(seeds, _bit_generators(states)):
         np.testing.assert_array_equal(
-            rng.standard_normal(5), np.random.default_rng(seed).standard_normal(5)
+            np.random.Generator(bit_generator).standard_normal(5),
+            np.random.default_rng(seed).standard_normal(5),
         )
+
+
+def _states(seeds: list[int]) -> np.ndarray:
+    return np.concatenate([_pcg64_states(seed) for seed in seeds])
+
+
+@settings(derandomize=True, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=4),
+       k=st.integers(1, 300))
+def test_qpsk_indices_from_raw_words_equal_generator_integers(seeds, k):
+    got = _qpsk_indices(_states(seeds), k)
+    assert got.shape == (len(seeds), k)
+    for seed, row in zip(seeds, got):
+        np.testing.assert_array_equal(row, np.random.default_rng(seed).integers(0, 4, size=k))
+
+
+@settings(derandomize=True, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=4),
+       half_width=st.floats(0.0, 30.0, exclude_min=True))
+def test_uniforms_from_raw_words_equal_generator_uniform(seeds, half_width):
+    want = [np.random.default_rng(s).uniform(-half_width, half_width) for s in seeds]
+    assert _uniforms(_states(seeds), half_width) == want
 
 
 def test_streams_equal_default_rng_draws():
