@@ -191,6 +191,14 @@ def _validate(res: _Resolved) -> None:
         raise UsageError(f"l: must be at least 2 (got {o['l']})")
     if o["n"] < o["l"]:
         raise UsageError(f"n: must be at least l={o['l']} (got {o['n']})")
+    # Whether the command runs the blind noise estimator; sweeps without
+    # --mode run both modes, sense without it runs static.
+    estimates = {"sense": o["mode"] == "dynamic", "sweep-factor": False,
+                 "estimate-noise": True}.get(res.command, o["mode"] != "static")
+    if estimates and o["n"] <= o["l"]:
+        raise UsageError(
+            f"n: must exceed l={o['l']} for a noise estimate (got {o['n']})"
+        )
     if not 0.0 < o["pfa"] < 1.0:
         raise UsageError(
             f"pfa: must be strictly between 0 and 1 (got {o['pfa']})"

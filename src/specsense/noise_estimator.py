@@ -395,6 +395,12 @@ def estimate_noise_batch(frames: np.ndarray, m_grid: int = 100) -> np.ndarray:
         raise ValueError("frames must be a (B, L, N) stack with L >= 2")
     _, l, n = frames.shape
     _check_shape(l, n, m_grid)
-    if not np.all(np.isfinite(frames)):
+    # A non-finite sample makes its covariance's diagonal non-finite, so the
+    # frames need a scan only when the small covariance stack fails.  An
+    # infinite sample makes inf - inf in the product: that is the check's
+    # business, not a warning's.
+    with np.errstate(invalid="ignore"):
+        cov = _covariances(frames, n)
+    if not np.all(np.isfinite(cov)) and not np.all(np.isfinite(frames)):
         raise ValueError("frame contains non-finite samples")
-    return _fit_spectra(_spectra(_covariances(frames, n)), n, m_grid)[3]
+    return _fit_spectra(_spectra(cov), n, m_grid)[3]

@@ -264,35 +264,48 @@ def _uniforms(states: np.ndarray, half_width: float) -> list[float]:
             for bit_generator in _bit_generators(states)]
 
 
-def _qpsk_rows(states: np.ndarray, n_samples: int, sigma_s2: float, samples_per_symbol: int,
-               real: bool = False) -> np.ndarray:
-    """One QPSK stream of ``n_samples`` samples per state row, as rows; with
-    ``real``, only the streams' real parts, as float64."""
+def _fill_qpsk(states: np.ndarray, sigma_s2: float, samples_per_symbol: int,
+               out: np.ndarray) -> None:
+    """Fill row i of ``out`` with a QPSK stream from the bit generator of
+    state row i, each symbol held for ``samples_per_symbol`` samples.
+
+    A float64 ``out`` gets only the streams' real parts.  Symbols are
+    written through a (rows, symbols, samples per symbol) view of the rows;
+    a last symbol cut short by the row length is written on its own.
+    """
+    rows, n_samples = out.shape
     n_symbols = -(-n_samples // samples_per_symbol)  # ceil division
-    points = _QPSK_POINTS.real if real else _QPSK_POINTS
+    points = _QPSK_POINTS if np.iscomplexobj(out) else _QPSK_POINTS.real
     symbols = math.sqrt(sigma_s2 / 2.0) * points[_qpsk_indices(states, n_symbols)]
-    if samples_per_symbol == 1:
-        return symbols
-    return np.repeat(symbols, samples_per_symbol, axis=1)[:, :n_samples]
+    whole = n_samples // samples_per_symbol
+    # Splitting the contiguous last axis makes a view, never a copy.
+    held = out[:, : whole * samples_per_symbol].reshape(rows, whole, samples_per_symbol)
+    held[...] = symbols[:, :whole, None]
+    out[:, whole * samples_per_symbol :] = symbols[:, whole:]
 
 
-def _awgn_rows(states: np.ndarray, sigma_w2, out: np.ndarray) -> None:
+def _fill_awgn(states: np.ndarray, sigma_w2, out: np.ndarray) -> None:
     """Fill row i of ``out`` with noise of total power ``sigma_w2[i]`` from
     the generator of state row i.
 
-    A complex row draws every real part first, then every imaginary part.
-    A float64 row draws only the real parts, so it holds the real parts of
+    A complex row draws every real part first, then every imaginary part,
+    into one scratch pair of rows (``standard_normal`` writes only
+    contiguous arrays), and each part is scaled into place.  A
+    float64 row draws only the real parts, so it holds the real parts of
     the complex row of the same length.
     """
-    scale = np.sqrt(np.asarray(sigma_w2, dtype=np.float64) / 2.0)[:, None]
-    complex_rows = np.iscomplexobj(out)
-    parts = np.empty((len(states), 2, out.shape[1])) if complex_rows else out
-    for bit_generator, row in zip(_bit_generators(states), parts):
-        np.random.Generator(bit_generator).standard_normal(out=row)
-    if complex_rows:
-        np.multiply(scale, parts[:, 0] + 1j * parts[:, 1], out=out)
-    else:
-        out *= scale
+    scale = np.sqrt(np.asarray(sigma_w2, dtype=np.float64) / 2.0)
+    generators = (np.random.Generator(bg) for bg in _bit_generators(states))
+    if not np.iscomplexobj(out):
+        for generator, row in zip(generators, out):
+            generator.standard_normal(out=row)
+        out *= scale[:, None]
+        return
+    parts = np.empty((2, out.shape[1]))
+    for generator, row, s in zip(generators, out, scale):
+        generator.standard_normal(out=parts)
+        np.multiply(parts[0], s, out=row.real)
+        np.multiply(parts[1], s, out=row.imag)
 
 
 def generate_qpsk(
@@ -325,7 +338,9 @@ def generate_qpsk(
         raise ValueError("sigma_s2 must be positive")
     if samples_per_symbol < 1:
         raise ValueError("samples_per_symbol must be >= 1")
-    return _qpsk_rows(_pcg64_states(seed), n_samples, sigma_s2, samples_per_symbol)[0]
+    stream = np.empty((1, n_samples), np.complex128)
+    _fill_qpsk(_pcg64_states(seed), sigma_s2, samples_per_symbol, stream)
+    return stream[0]
 
 
 def add_awgn(stream: np.ndarray, sigma_w2: float, seed: int) -> np.ndarray:
@@ -346,7 +361,7 @@ def add_awgn(stream: np.ndarray, sigma_w2: float, seed: int) -> np.ndarray:
         raise ValueError("sigma_w2 must be positive")
     stream = np.asarray(stream, dtype=np.complex128)
     w = np.empty((1, stream.size), dtype=np.complex128)
-    _awgn_rows(_pcg64_states(seed), [sigma_w2], w)
+    _fill_awgn(_pcg64_states(seed), [sigma_w2], w)
     return stream + w.reshape(stream.shape)
 
 

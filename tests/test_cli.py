@@ -290,3 +290,38 @@ def test_non_finite_float_option_exits_two(key, value, source, tmp_path, capsys)
     assert main(argv + ["--out", str(tmp_path / "never")]) == 2
     assert f"{name}: must be finite" in capsys.readouterr().err
     assert list(tmp_path.glob("never*")) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command",
+    [["sense", "--mode", "dynamic"], ["estimate-noise"], ["sweep-snr"], ["sweep-pfa"],
+     ["sweep-snr", "--mode", "dynamic"]],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
+)
+def test_noise_estimate_needs_more_snapshots_than_rows(command, source, tmp_path, capsys):
+    # At n == l these exited 1 from inside the estimator, and sweep-snr first
+    # ran its static points and then wrote nothing.
+    if source == "flag":
+        argv = command + ["--n", "8", "--l", "8"]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 8\nl = 8\n")
+        argv = command + ["--config", str(cfg)]
+    assert main(argv + ["--trials", "100", "--out", str(tmp_path / "never")]) == 2
+    assert "n: must exceed l=8 for a noise estimate (got 8)" in capsys.readouterr().err
+    assert list(tmp_path.glob("never*")) == []
+
+
+def test_static_commands_run_at_n_equal_to_l(tmp_path, capsys):
+    square = ["--n", "8", "--l", "8", "--trials", "100"]
+    assert main(["sense", *square]) == 0
+    assert main(["sense", "--mode", "static", *square]) == 0
+    assert main(["sweep-factor", *square, "--snr-min", "0", "--snr-max", "0",
+                 "--out", str(tmp_path / "factor")]) == 0
+    assert main(["sweep-snr", "--mode", "static", *square, "--snr-min", "0", "--snr-max", "0",
+                 "--out", str(tmp_path / "snr")]) == 0
+    assert sorted(path.name for path in tmp_path.glob("*.csv")) == [
+        "factor_factor_1.5.csv", "factor_factor_1.csv", "factor_factor_2.5.csv",
+        "factor_factor_2.csv", "snr_static.csv",
+    ]

@@ -59,6 +59,9 @@ def test_trial_plan_validation():
         _static_plan(l=1)
     with pytest.raises(ValueError):
         _static_plan(n=4, l=8)
+    with pytest.raises(ValueError, match="n > l"):
+        _static_plan(n=8, l=8, mode=ThresholdMode.DYNAMIC)
+    _static_plan(n=8, l=8)
     with pytest.raises(ValueError):
         _static_plan(sigma_w2_true=0.0)
     with pytest.raises(ValueError):
@@ -139,9 +142,16 @@ def test_excessive_estimation_failures_abort(monkeypatch):
 
 
 def test_failed_rows_fail_exactly_their_trials(monkeypatch):
+    plan = _static_plan(mode=ThresholdMode.DYNAMIC, n_trials=600, mismatch_db=3.0)
+    blocks_per_chunk = harness._CHUNK // harness._BLOCK
+    full_chunks, last_chunk = divmod(plan.n_trials, harness._CHUNK)
+    n_calls = full_chunks * blocks_per_chunk + -(-last_chunk // harness._BLOCK)
+    last_block = last_chunk % harness._BLOCK or harness._BLOCK
     # block call -> rows whose estimate fails; rows 2i and 2i + 1 hold the
-    # H1 and H0 frames of the block's trial i
-    plan_of_failures = {0: (1,), 3: (2, 3), 5: (4,), 9: (0, 7), 70: (15,)}
+    # H1 and H0 frames of the block's trial i.  The last two calls fail the
+    # last row of a full block and of the short last block.
+    plan_of_failures = {0: (1,), 3: (2, 3), 9: (0, 7),
+                        n_calls - 2: (2 * harness._BLOCK - 1,), n_calls - 1: (2 * last_block - 1,)}
     real = harness.estimate_noise_batch
     calls = []
 
@@ -151,13 +161,17 @@ def test_failed_rows_fail_exactly_their_trials(monkeypatch):
         calls.append(len(frames))
         return sigma
 
+    def trial_of(call, row):
+        chunk, block = divmod(call, blocks_per_chunk)
+        return chunk * harness._CHUNK + block * harness._BLOCK + row // 2
+
     monkeypatch.setattr(harness, "estimate_noise_batch", fails_some_rows)
-    plan = _static_plan(mode=ThresholdMode.DYNAMIC, n_trials=600, mismatch_db=3.0)
     r = run_point(plan)
-    failing_trials = {(call, row // 2) for call, rows in plan_of_failures.items() for row in rows}
-    assert len(calls) == 4 * 16 + 11  # four full chunks of 16 blocks, then 88 trials
-    assert r.failed_trials == len(failing_trials) == 6
-    assert r.n_effective == 600 - 6
+    failing_trials = {trial_of(call, row) for call, rows in plan_of_failures.items() for row in rows}
+    assert calls == [2 * harness._BLOCK] * (n_calls - 1) + [2 * last_block]
+    assert max(failing_trials) == plan.n_trials - 1
+    assert r.failed_trials == len(failing_trials) == 6  # 1% of 600: the guard's limit
+    assert r.n_effective == plan.n_trials - 6
 
 
 def _reference_point(plan: TrialPlan) -> PointResult:
@@ -206,8 +220,10 @@ def _reference_point(plan: TrialPlan) -> PointResult:
 
 
 def _assert_equals_reference(mode, l, **overrides):
-    # 1, 7, 8, 9: around one block; 37: a ragged last block; 130: two chunks
-    for n_trials in (1, 7, 8, 9, 37, 130):
+    # 1: one trial; 7, 8, 9 and _BLOCK - 1, _BLOCK, _BLOCK + 1: around one
+    # block; 37: a ragged last block; 130: two chunks
+    block = harness._BLOCK
+    for n_trials in sorted({1, 7, 8, 9, block - 1, block, block + 1, 37, 130}):
         plan = _static_plan(
             n_trials=n_trials, n=16 * l, l=l, mode=mode, mismatch_db=3.0,
             sigma_s2=10.0 ** (-0.2), master_seed=2024 + n_trials,
@@ -257,13 +273,33 @@ def test_static_streams_are_real_prefixes_of_full_streams(master_seed, n, sps, s
                                                           mismatch_db):
     plan = _static_plan(n_trials=9, n=n, l=4, sigma_s2=sigma_s2, mismatch_db=mismatch_db,
                         samples_per_symbol=sps, master_seed=master_seed)
-    short, sigma = harness._synthesize(plan, harness._trial_states(plan, 0, 9), n)
-    assert short.shape == (18, n)
+    short = np.empty((9, 2, n))
+    sigma = harness._synthesize(plan, harness._trial_states(plan, 0, 9), short)
     for trial in range(9):
         y1, y0, sigma_true = synthesize_pair(plan, trial)
-        np.testing.assert_array_equal(short[2 * trial].real, y1[:n].real)
-        np.testing.assert_array_equal(short[2 * trial + 1].real, y0[:n].real)
+        np.testing.assert_array_equal(short[trial, 0], y1[:n].real)
+        np.testing.assert_array_equal(short[trial, 1], y0[:n].real)
         assert sigma[trial] == sigma_true
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"samples_per_symbol": 3}, {"sigma_s2": 0.0}],
+    ids=["sps_dividing_n", "sps_3_not_dividing_n", "no_signal"],
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["static", "dynamic"])
+def test_synthesize_overwrites_a_stale_workspace(dtype, overrides):
+    # A chunk writes every block into one workspace, and its last block into
+    # a leading slice of it: nothing an earlier block left may show through.
+    plan = _static_plan(n_trials=harness._BLOCK + 5, n=40, l=8, mismatch_db=3.0, **overrides)
+    n_samples = plan.n if dtype is np.float64 else plan.l * plan.n
+    states = harness._trial_states(plan, harness._BLOCK, plan.n_trials)
+    stale = np.full((harness._BLOCK, 2, n_samples), np.nan, dtype)
+    fresh = np.zeros((len(states), 2, n_samples), dtype)
+    sigma = harness._synthesize(plan, states, stale[: len(states)])
+    assert sigma == harness._synthesize(plan, states, fresh)
+    assert not np.isnan(stale[: len(states)]).any()
+    assert stale[: len(states)].tobytes() == fresh.tobytes()
 
 
 def test_sweep_snr_produces_both_modes():

@@ -1,5 +1,6 @@
 """Tests of the blind noise-power estimation pipeline."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -482,9 +483,17 @@ def test_batch_validates_arguments():
         estimate_noise_batch(frames[:, :, :8], m_grid=10)  # needs N > L
     with pytest.raises(ValueError):
         estimate_noise_batch(frames[0], m_grid=10)  # not a stack
-    frames[1, 3, 5] = np.nan
-    with pytest.raises(ValueError):
-        estimate_noise_batch(frames, m_grid=10)
+    for bad in (np.nan, np.inf, complex(-np.inf, 1.0)):
+        stack = frames.copy()
+        stack[1, 3, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                estimate_noise_batch(stack, m_grid=10)
+    # finite samples whose covariance overflows are not non-finite input
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            estimate_noise_batch(frames * 1e200, m_grid=10)
 
 
 # ------------------------------------------------------- spectra at the edges
