@@ -217,6 +217,14 @@ def _validate(res: _Resolved) -> None:
         raise UsageError(f"factor: must be positive (got {o['factor']})")
     if o["snr_step"] <= 0.0:
         raise UsageError(f"snr-step: must be positive (got {o['snr_step']})")
+    # No grid value has a wider float spacing than the end of larger
+    # magnitude, so a step above half that spacing moves every value on.  A
+    # smaller step can leave a value where it is, and the grid never ends.
+    if o["snr_step"] <= math.ulp(max(abs(o["snr_min"]), abs(o["snr_max"]))) / 2.0:
+        raise UsageError(
+            f"snr-step: too small to advance the grid from snr-min={o['snr_min']} "
+            f"to snr-max={o['snr_max']} (got {o['snr_step']})"
+        )
     if o["snr_max"] < o["snr_min"]:
         raise UsageError(
             f"snr-max: must be at least snr-min={o['snr_min']} (got {o['snr_max']})"

@@ -6,24 +6,28 @@ and any subset of sweep points.  Detection counts are integers and the
 per-chunk diagnostics are reduced in fixed chunk order, which keeps CSV
 output byte-identical across reruns.
 
-Trials run in chunks of ``_CHUNK`` (the unit of work a worker process
-takes; a sweep hands the chunks of all its points to one process pool)
-and, inside a chunk, in blocks of ``_BLOCK``.  A chunk derives the
-generator states of all its trials' substreams in one vectorised seed
-computation and allocates one stream workspace, a stack of ``2 * _BLOCK``
-streams.  A block writes the H1 and H0 streams of its trials into a
-leading slice of it, holding only what its mode reads: in static mode the
-real parts of the first ``n`` samples, as float64 (``n`` normals per noise
-row), in dynamic mode ``l * n`` complex samples.  Synthesis makes no
-temporary the size of the stack, so blocks do not hand such memory back
-to the system and fault it in again.  A block then runs each pipeline
-stage once over the stack: the energy statistics, then in dynamic mode
-one stacked blind noise estimate (covariance, eigenvalues, MDL split,
-Marchenko-Pastur fit).  Each row of a stacked stage is bit-for-bit the
-single-frame result, and the noise estimates are summed trial by trial in
-trial order, so a point's result does not depend on the block size.  A
-sweep's pool has no more processes than chunks; with one process the
-chunks run in-process.
+Trials run in chunks of ``_CHUNK`` and, inside a chunk, in blocks of
+``_BLOCK``.  The unit of work a worker process takes is one chunk of a
+group of plans that differ only in ``mode``, such as the static and the
+dynamic plan of one point of a both-modes sweep: the group shares the
+chunk's trials.  A sweep hands all its units to one process pool.  A chunk
+derives the generator states of all its trials' substreams in one
+vectorised seed computation and allocates one stream workspace, a stack
+of ``2 * _BLOCK`` streams.  A block writes the H1 and H0 streams of its
+trials into a leading slice of it, holding only what the group reads:
+with a DYNAMIC plan ``l * n`` complex samples, with STATIC plans alone the
+real parts of the first ``n`` samples, as float64 (``n`` normals per
+noise row), bit for bit the real parts of the full streams' prefixes.
+Synthesis makes no temporary the size of the stack, so blocks do not
+hand such memory back to the system and fault it in again.  A block then
+runs each pipeline stage once over the stack for all the group's plans:
+the energy statistics, then for DYNAMIC plans one stacked blind noise
+estimate (covariance, eigenvalues, MDL split, Marchenko-Pastur fit).
+Each row of a stacked stage is bit-for-bit the single-frame result, and
+the noise estimates are summed trial by trial in trial order, so a
+point's result depends neither on the block size nor on the plans beside
+it.  A sweep's pool has no more processes than units; with one process
+the units run in-process.
 """
 from __future__ import annotations
 
@@ -77,6 +81,10 @@ _CHUNK = 128  # trials per work unit; fixed so reductions never reorder
 # with peak memory 1% higher; 32-trial blocks took twice the page faults
 # per trial and ran no faster.
 _BLOCK = 16
+
+# A plan's tally of one chunk: (h1 detections, h0 detections, failed
+# trials, sum of noise estimates, completed trials).
+_Tally = tuple[int, int, int, float, int]
 
 _ROLE_SIGNAL = 0
 _ROLE_NOISE = 1
@@ -264,34 +272,37 @@ def sense_once(plan: TrialPlan) -> tuple[SensingDecision, NoiseEstimate | None]:
     return decide(statistic, threshold), estimate
 
 
-def _run_chunk(plan: TrialPlan, start: int) -> tuple[int, int, int, float, int]:
-    """Run the chunk of trials from ``start`` block by block; returns its tallies.
+def _run_chunk(plans: Sequence[TrialPlan], start: int) -> list[_Tally]:
+    """Run the chunk of trials from ``start`` for plans that differ only in
+    ``mode``, block by block; returns one tally per plan.
 
-    A trial fails, and counts in neither rate, when the noise estimate of
-    its H1 or its H0 frame fails.
-
-    Returns:
-        (h1 detections, h0 detections, failed trials, sum of noise
-        estimates, completed trials).
+    Each block synthesizes its trials once for every plan, at the width
+    their readers need, and takes the energy statistics once.  STATIC plans
+    compare them with the static threshold; DYNAMIC plans share one stacked
+    noise estimate.  A DYNAMIC plan's trial fails, and counts in neither
+    rate, when the noise estimate of its H1 or its H0 frame fails.
     """
+    plan = plans[0]
     stop = min(start + _CHUNK, plan.n_trials)
-    det_h1 = 0
-    det_h0 = 0
+    dynamic = [p.mode is ThresholdMode.DYNAMIC for p in plans]
+    # dynamic_threshold is linear in the noise power: sigma * this is
+    # bit-for-bit dynamic_threshold(sigma, ...).
+    thresholds = [
+        dynamic_threshold(1.0, p.target_pfa, p.n) if d
+        else static_threshold(p.sigma_nominal2, p.target_pfa, p.n)
+        for p, d in zip(plans, dynamic)
+    ]
+    detections = [[0, 0] for _ in plans]  # per plan: h1 and h0 detections
     sigma_sum = 0.0
-    completed = 0
-    dynamic = plan.mode is ThresholdMode.DYNAMIC
-    if dynamic:
-        # dynamic_threshold is linear in the noise power: sigma * this is
-        # bit-for-bit dynamic_threshold(sigma, ...).
-        unit_lambda = dynamic_threshold(1.0, plan.target_pfa, plan.n)
-    else:
-        static_lambda = static_threshold(plan.sigma_nominal2, plan.target_pfa, plan.n)
+    estimated = 0  # trials whose two noise estimates both succeeded
 
-    # Static mode reads only the first n real parts of each stream.
-    n_samples = plan.l * plan.n if dynamic else plan.n
+    # A static plan reads only the first n real parts of each stream: bit
+    # for bit the real parts of a full stream's prefix.
+    any_dynamic = any(dynamic)
+    n_samples = plan.l * plan.n if any_dynamic else plan.n
     states = _trial_states(plan, start, stop)
     workspace = np.empty((min(_BLOCK, stop - start), 2, n_samples),
-                         np.complex128 if dynamic else np.float64)
+                         np.complex128 if any_dynamic else np.float64)
     for first in range(0, stop - start, _BLOCK):
         block = states[first : first + _BLOCK]
         stack = workspace[: len(block)]
@@ -299,19 +310,22 @@ def _run_chunk(plan: TrialPlan, start: int) -> tuple[int, int, int, float, int]:
         # Rows 2i and 2i + 1 are the H1 and H0 streams of the block's trial i.
         streams = stack.reshape(-1, n_samples)
         energies = _energies(streams[:, : plan.n]).reshape(-1, 2)
-        if dynamic:
+        if any_dynamic:
             frames = streams.reshape(-1, plan.n, plan.l).transpose(0, 2, 1)
             sigma = estimate_noise_batch(frames, plan.m_grid).reshape(-1, 2)
             ok = ~np.isnan(sigma).any(axis=1)
             for s1, s0 in sigma[ok].tolist():
                 sigma_sum += s1 + s0
-            detected = energies[ok] > sigma[ok] * unit_lambda
-        else:
-            detected = energies > static_lambda
-        det_h1 += int(np.count_nonzero(detected[:, 0]))
-        det_h0 += int(np.count_nonzero(detected[:, 1]))
-        completed += len(detected)
-    return det_h1, det_h0, (stop - start) - completed, sigma_sum, completed
+            estimated += int(np.count_nonzero(ok))
+        for counts, d, threshold in zip(detections, dynamic, thresholds):
+            detected = energies[ok] > sigma[ok] * threshold if d else energies > threshold
+            counts[0] += int(np.count_nonzero(detected[:, 0]))
+            counts[1] += int(np.count_nonzero(detected[:, 1]))
+    trials = stop - start
+    return [
+        (h1, h0, trials - estimated, sigma_sum, estimated) if d else (h1, h0, 0, 0.0, trials)
+        for (h1, h0), d in zip(detections, dynamic)
+    ]
 
 
 def _ci_halfwidth(p: float, n: int) -> float:
@@ -320,7 +334,7 @@ def _ci_halfwidth(p: float, n: int) -> float:
     return _CI_Z * math.sqrt(p * (1.0 - p) / n)
 
 
-def _point_result(plan: TrialPlan, tallies: list[tuple[int, int, int, float, int]]) -> PointResult:
+def _point_result(plan: TrialPlan, tallies: Sequence[_Tally]) -> PointResult:
     """Reduce one plan's chunk tallies, in chunk order, to its point result."""
     det_h1, det_h0, failed, completed = (sum(t[i] for t in tallies) for i in (0, 1, 2, 4))
     sigma_sum = 0.0
@@ -343,25 +357,42 @@ def _point_result(plan: TrialPlan, tallies: list[tuple[int, int, int, float, int
 
 
 def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
-    """Run every chunk of every plan, on one process pool of at most
-    ``workers`` processes and no more than there are chunks; with one
-    process, in-process.
+    """Run every plan; one point result per plan, in plan order.
 
-    Tallies come back in chunk order whatever the worker count, and each
-    plan's are reduced in that order.  The first plan that trips the
-    failure guard raises, and chunks not yet started are dropped.
+    A work unit is one chunk of trials of a group of plans that differ only
+    in ``mode``: the group synthesizes each trial once for all its plans.
+    Groups take the order of their first plans, and the units run on one
+    process pool of at most ``workers`` processes and no more than there
+    are units; with one process, in-process.
+
+    Tallies come back in unit order whatever the worker count, and each
+    plan's are reduced in chunk order.  The first plan, in plan order, that
+    trips the failure guard raises, and units not yet started are dropped.
     """
-    starts = [range(0, plan.n_trials, _CHUNK) for plan in plans]
-    chunk_plans = [plan for plan, chunks in zip(plans, starts) for _ in chunks]
-    workers = min(workers, len(chunk_plans))
+    # The key is the plan with its mode set aside (as STATIC); the value, the
+    # indices of the plans it stands for.
+    groups: dict[TrialPlan, list[int]] = {}
+    for index, plan in enumerate(plans):
+        groups.setdefault(replace(plan, mode=ThresholdMode.STATIC), []).append(index)
+    units = [
+        (tuple(plans[index] for index in members), start)
+        for key, members in groups.items() for start in range(0, key.n_trials, _CHUNK)
+    ]
+    workers = min(workers, len(units))
     pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         run = map if pool is None else pool.map
-        tallies = run(_run_chunk, chunk_plans, itertools.chain(*starts))
-        return [
-            _point_result(plan, list(itertools.islice(tallies, len(chunks))))
-            for plan, chunks in zip(plans, starts)
-        ]
+        unit_tallies = run(_run_chunk, *zip(*units))
+        pending = iter(groups.items())
+        tallies: dict[int, tuple[_Tally, ...]] = {}  # plan index -> its chunks' tallies
+        results = []
+        for index, plan in enumerate(plans):
+            while index not in tallies:
+                key, members = next(pending)
+                chunks = itertools.islice(unit_tallies, len(range(0, key.n_trials, _CHUNK)))
+                tallies.update(zip(members, zip(*chunks)))
+            results.append(_point_result(plan, tallies.pop(index)))
+        return results
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

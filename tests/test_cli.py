@@ -294,6 +294,29 @@ def test_non_finite_float_option_exits_two(key, value, source, tmp_path, capsys)
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
+    "grid",
+    [{"snr_step": 1e-20}, {"snr_min": 1e16, "snr_max": 1e16, "snr_step": 1.0},
+     {"snr_min": 2.0**53 + 2, "snr_max": 2.0**53 + 6, "snr_step": 1.0}],
+    ids=["below_spacing_at_zero", "below_spacing_at_1e16", "ties_to_even_at_2e53"],
+)
+def test_snr_step_that_cannot_advance_the_grid_exits_two(grid, source, tmp_path, capsys):
+    # Each of these left the grid value unchanged and the SNR grid grew
+    # forever.  In the last, snr-min and snr-max each move on by one step,
+    # but the first step lands on a value that ties back to itself.
+    if source == "flag":
+        argv = ["sweep-snr"] + [f"--{key.replace('_', '-')}={value!r}"
+                                for key, value in grid.items()]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in grid.items()))
+        argv = ["sweep-snr", "--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "never")]) == 2
+    assert "snr-step: too small to advance the grid" in capsys.readouterr().err
+    assert list(tmp_path.glob("never*")) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
     "command",
     [["sense", "--mode", "dynamic"], ["estimate-noise"], ["sweep-snr"], ["sweep-pfa"],
      ["sweep-snr", "--mode", "dynamic"]],

@@ -172,6 +172,12 @@ def test_failed_rows_fail_exactly_their_trials(monkeypatch):
     assert max(failing_trials) == plan.n_trials - 1
     assert r.failed_trials == len(failing_trials) == 6  # 1% of 600: the guard's limit
     assert r.n_effective == plan.n_trials - 6
+    # Beside its static plan, on the same streams, the dynamic plan fails the
+    # same trials and the static plan none.
+    calls.clear()
+    static_plan = replace(plan, mode=ThresholdMode.STATIC)
+    assert harness._run_points([static_plan, plan], workers=1) == [run_point(static_plan), r]
+    assert len(calls) == n_calls
 
 
 def _reference_point(plan: TrialPlan) -> PointResult:
@@ -354,7 +360,8 @@ def pool_sizes(monkeypatch):
 
 def test_sweep_runs_every_point_on_one_pool(pool_sizes):
     plan = _static_plan(n_trials=200, n=64)
-    curves = sweep_snr(plan, [-4.0, 0.0], workers=2)  # 2 modes x 2 SNRs
+    # 2 SNRs x 2 chunks: 4 units, each running both modes of its point
+    curves = sweep_snr(plan, [-4.0, 0.0], workers=2)
     assert pool_sizes == [2]
     assert curves == sweep_snr(plan, [-4.0, 0.0], workers=1)
     assert pool_sizes == [2]  # one worker runs in-process
@@ -364,9 +371,29 @@ def test_pool_has_no_more_processes_than_chunks(pool_sizes):
     plan = _static_plan(n_trials=harness._CHUNK, n=64)
     assert run_point(plan, workers=2) == run_point(plan)
     assert pool_sizes == []  # one chunk runs in-process
+    curves = sweep_snr(plan, [0.0], workers=2)
+    assert pool_sizes == []  # both modes of one point share its one chunk
+    assert curves == sweep_snr(plan, [0.0])
     curves = sweep_snr(plan, [-4.0, 0.0, 4.0], modes=(ThresholdMode.STATIC,), workers=8)
     assert pool_sizes == [3]
     assert curves == sweep_snr(plan, [-4.0, 0.0, 4.0], modes=(ThresholdMode.STATIC,))
+    factors = sweep_threshold_factor(plan, [1.0, 2.0], [0.0], workers=8)
+    assert pool_sizes == [3, 2]  # one unit per factor: their thresholds differ
+    assert factors == sweep_threshold_factor(plan, [1.0, 2.0], [0.0])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_trials", [1, harness._BLOCK + 1, harness._CHUNK + 1])
+def test_both_mode_sweeps_equal_single_mode_sweeps(n_trials, workers):
+    # A both-modes sweep runs each point's static and dynamic plans on one
+    # synthesis of its trials; each curve must be what its mode gives alone.
+    plan = _static_plan(n_trials=n_trials, n=32, l=6, mismatch_db=3.0, samples_per_symbol=3)
+    for sweep, grid, swept in ((sweep_snr, [-3.0, 1.0], plan),
+                               (sweep_pfa, [0.05, 0.2], replace(plan, sigma_s2=0.0))):
+        both = sweep(swept, grid, workers=workers)
+        assert list(both) == [ThresholdMode.STATIC, ThresholdMode.DYNAMIC]
+        for mode, curve in both.items():
+            assert curve == sweep(swept, grid, modes=(mode,), workers=workers)[mode]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -381,9 +408,12 @@ def test_sweep_raises_for_its_first_failing_point(workers):
     with pytest.raises(RuntimeError) as third:
         run_point(replace(plan, sigma_s2=1.0))
     assert str(second.value) != str(third.value)
-    with pytest.raises(RuntimeError) as swept:
-        sweep_snr(plan, [-20.0, 20.0, 0.0], modes=(ThresholdMode.DYNAMIC,), workers=workers)
-    assert str(swept.value) == str(second.value) == "noise estimation failed in 200/200 trials"
+    assert str(second.value) == "noise estimation failed in 200/200 trials"
+    # Beside the static curve, whose plans never fail, the same dynamic point raises.
+    for modes in ((ThresholdMode.DYNAMIC,), (ThresholdMode.STATIC, ThresholdMode.DYNAMIC)):
+        with pytest.raises(RuntimeError) as swept:
+            sweep_snr(plan, [-20.0, 20.0, 0.0], modes=modes, workers=workers)
+        assert str(swept.value) == str(second.value), modes
 
 
 def test_write_results_csv_layout():
