@@ -182,6 +182,14 @@ def _merge_options(args: argparse.Namespace) -> _Resolved:
     return _Resolved(command=args.command, options=merged)
 
 
+def _signal_power(sigma_w2: float, snr: float) -> float:
+    """``sigma_w2 * 10^(snr/10)``, inf where that overflows."""
+    try:
+        return sigma_w2 * 10.0 ** (snr / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _validate(res: _Resolved) -> None:
     o = res.options
     for key, (kind, _, _) in _OPTIONS.items():
@@ -229,6 +237,12 @@ def _validate(res: _Resolved) -> None:
         raise UsageError(
             f"snr-max: must be at least snr-min={o['snr_min']} (got {o['snr_max']})"
         )
+    for key in ("snr", "snr_min", "snr_max"):
+        if not math.isfinite(_signal_power(o["sigma_w2"], o[key])):
+            raise UsageError(
+                f"{key.replace('_', '-')}: too large, the signal power "
+                f"sigma-w2 * 10^(snr/10) is not finite (got {o[key]})"
+            )
     if o["seed"] < 0:
         raise UsageError(f"seed: must be non-negative (got {o['seed']})")
     if o["sps"] is not None and o["sps"] < 1:
@@ -258,7 +272,7 @@ def _build_plan(res: _Resolved, hypothesis: Hypothesis) -> TrialPlan:
         mode=ThresholdMode.DYNAMIC if res.mode == "dynamic" else ThresholdMode.STATIC,
         sigma_w2_true=sigma_w2,
         sigma_nominal2=nominal * factor,
-        sigma_s2=sigma_w2 * 10.0 ** (float(res.snr) / 10.0),
+        sigma_s2=_signal_power(sigma_w2, float(res.snr)),
         hypothesis=hypothesis,
         master_seed=int(res.seed),
         m_grid=int(res.m_grid),

@@ -10,14 +10,18 @@ Trials run in chunks of ``_CHUNK`` and, inside a chunk, in blocks of
 ``_BLOCK``.  The unit of work a worker process takes is one chunk of a
 group of plans that differ only in ``mode``, such as the static and the
 dynamic plan of one point of a both-modes sweep: the group shares the
-chunk's trials.  A sweep hands all its units to one process pool.  A chunk
-derives the generator states of all its trials' substreams in one
-vectorised seed computation and allocates one stream workspace, a stack
-of ``2 * _BLOCK`` streams.  A block writes the H1 and H0 streams of its
-trials into a leading slice of it, holding only what the group reads:
-with a DYNAMIC plan ``l * n`` complex samples, with STATIC plans alone the
-real parts of the first ``n`` samples, as float64 (``n`` normals per
-noise row), bit for bit the real parts of the full streams' prefixes.
+chunk's trials.  A sweep hands all its units to one process pool, chunk by
+chunk: every group's unit for chunk 0, then every group's unit for chunk
+1, and so on.  The generator states of a chunk's substreams depend only on
+the master seed, the roles and the chunk, so every plan of a call shares
+them: they are derived in one vectorised seed computation and the last
+result is kept, which a process's next unit of the same chunk reuses.  A
+chunk allocates one stream workspace, a stack of ``2 * _BLOCK`` streams.
+A block writes the H1 and H0 streams of its trials into a leading slice
+of it, holding only what the group reads: with a DYNAMIC plan ``l * n``
+complex samples, with STATIC plans alone the real parts of the first
+``n`` samples, as float64 (``n`` normals per noise row), bit for bit the
+real parts of the full streams' prefixes.
 Synthesis makes no temporary the size of the stack, so blocks do not
 hand such memory back to the system and fault it in again.  A block then
 runs each pipeline stage once over the stack for all the group's plans:
@@ -27,11 +31,13 @@ Each row of a stacked stage is bit-for-bit the single-frame result, and
 the noise estimates are summed trial by trial in trial order, so a
 point's result depends neither on the block size nor on the plans beside
 it.  A sweep's pool has no more processes than units; with one process
-the units run in-process.
+the units run in-process.  A call runs all its units before it reduces
+any plan, so a call whose plan trips the failure guard finishes its
+other units first and then raises for the first such plan.
 """
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -207,15 +213,25 @@ def _roles(plan: TrialPlan) -> tuple[int, ...]:
 def _trial_states(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
     """PCG64 state words of every substream of trials [start, stop).
 
-    Returns a ``(stop - start, len(_roles(plan)), 4)`` array: the state
-    ``default_rng(derive_seed(plan.master_seed, trial, role))`` starts in,
-    for every (trial, role), from one array call of ``derive_seed`` and one
-    of ``_pcg64_states``.
+    Returns a read-only ``(stop - start, len(_roles(plan)), 4)`` array: the
+    state ``default_rng(derive_seed(plan.master_seed, trial, role))`` starts
+    in, for every (trial, role).  Plans with the same master seed and roles
+    share these states, so the last result is kept and handed to the next
+    call that asks for the same trials.
     """
-    roles = _roles(plan)
+    return _seeded_states(plan.master_seed, _roles(plan), start, stop)
+
+
+@functools.lru_cache(maxsize=1)
+def _seeded_states(master_seed: int, roles: tuple[int, ...], start: int,
+                   stop: int) -> np.ndarray:
+    """:func:`_trial_states` from one array call of ``derive_seed`` and one of
+    ``_pcg64_states``."""
     trials, column = np.divmod(np.arange(start * len(roles), stop * len(roles)), len(roles))
-    seeds = derive_seed(plan.master_seed, trials, np.array(roles)[column])
-    return _pcg64_states(seeds).reshape(stop - start, len(roles), 4)
+    seeds = derive_seed(master_seed, trials, np.array(roles)[column])
+    states = _pcg64_states(seeds).reshape(stop - start, len(roles), 4)
+    states.flags.writeable = False  # every caller shares this one array
+    return states
 
 
 def _synthesize(plan: TrialPlan, states: np.ndarray, out: np.ndarray) -> list[float]:
@@ -361,41 +377,49 @@ def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
 
     A work unit is one chunk of trials of a group of plans that differ only
     in ``mode``: the group synthesizes each trial once for all its plans.
-    Groups take the order of their first plans, and the units run on one
-    process pool of at most ``workers`` processes and no more than there
-    are units; with one process, in-process.
+    Units run chunk-major: every group's unit for chunk 0, in the order of
+    the groups' first plans, then every group's unit for chunk 1, and so
+    on.  A chunk's generator states depend only on the master seed, the
+    roles and the chunk, so consecutive units of one chunk share them
+    (:func:`_trial_states` keeps its last result): in-process they are
+    derived once for all groups, and a pool worker derives them again only
+    when its next unit starts a new chunk.  The units run on one process
+    pool of at most ``workers`` processes and no more than there are units;
+    with one process, in-process.
 
     Tallies come back in unit order whatever the worker count, and each
-    plan's are reduced in chunk order.  The first plan, in plan order, that
-    trips the failure guard raises, and units not yet started are dropped.
+    plan's are reduced in chunk order.  Every unit runs before any plan is
+    reduced; then the first plan, in plan order, that trips the failure
+    guard raises.
     """
     # The key is the plan with its mode set aside (as STATIC); the value, the
     # indices of the plans it stands for.
     groups: dict[TrialPlan, list[int]] = {}
     for index, plan in enumerate(plans):
         groups.setdefault(replace(plan, mode=ThresholdMode.STATIC), []).append(index)
-    units = [
-        (tuple(plans[index] for index in members), start)
-        for key, members in groups.items() for start in range(0, key.n_trials, _CHUNK)
+    units = [  # (indices of the group's plans, first trial of the chunk)
+        (members, start)
+        for start in range(0, max((plan.n_trials for plan in plans), default=0), _CHUNK)
+        for key, members in groups.items() if start < key.n_trials
     ]
     workers = min(workers, len(units))
-    pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        import concurrent.futures  # only here: most calls never start a pool
+
+        pool = concurrent.futures.ProcessPoolExecutor(workers)
     try:
         run = map if pool is None else pool.map
-        unit_tallies = run(_run_chunk, *zip(*units))
-        pending = iter(groups.items())
-        tallies: dict[int, tuple[_Tally, ...]] = {}  # plan index -> its chunks' tallies
-        results = []
-        for index, plan in enumerate(plans):
-            while index not in tallies:
-                key, members = next(pending)
-                chunks = itertools.islice(unit_tallies, len(range(0, key.n_trials, _CHUNK)))
-                tallies.update(zip(members, zip(*chunks)))
-            results.append(_point_result(plan, tallies.pop(index)))
-        return results
+        unit_tallies = run(_run_chunk, [tuple(plans[index] for index in members)
+                                        for members, _ in units], [start for _, start in units])
+        tallies: list[list[_Tally]] = [[] for _ in plans]  # per plan, in chunk order
+        for (members, _), unit in zip(units, unit_tallies):
+            for index, tally in zip(members, unit):
+                tallies[index].append(tally)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    return [_point_result(plan, plan_tallies) for plan, plan_tallies in zip(plans, tallies)]
 
 
 def run_point(plan: TrialPlan, workers: int = 1) -> PointResult:
@@ -424,7 +448,18 @@ def _sweep(curves: dict, sweep_name: str, values: Sequence[float], workers: int)
 
 
 def _snr_to_sigma_s2(plan: TrialPlan, snr_db_value: float) -> float:
-    return plan.sigma_w2_true * 10.0 ** (snr_db_value / 10.0)
+    """The signal power at ``snr_db_value`` dB above the plan's true noise.
+
+    Raises:
+        ValueError: when that power is not a finite float.
+    """
+    try:
+        sigma_s2 = plan.sigma_w2_true * 10.0 ** (snr_db_value / 10.0)
+    except OverflowError:
+        sigma_s2 = math.inf
+    if not math.isfinite(sigma_s2):
+        raise ValueError(f"an SNR of {snr_db_value} dB gives a signal power that is not finite")
+    return sigma_s2
 
 
 def sweep_snr(

@@ -348,3 +348,18 @@ def test_static_commands_run_at_n_equal_to_l(tmp_path, capsys):
         "factor_factor_1.5.csv", "factor_factor_1.csv", "factor_factor_2.5.csv",
         "factor_factor_2.csv", "snr_static.csv",
     ]
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [(["sense", "--snr", "4000"], "snr"),
+     (["sweep-snr", "--snr-min", "4000", "--snr-max", "4000"], "snr-min"),
+     (["sweep-snr", "--snr-max", "4000"], "snr-max"),
+     (["sense", "--sigma-w2", "1e307", "--snr", "20"], "snr")],
+    ids=["sense", "sweep-snr-min", "sweep-snr-max", "sense-large-noise"],
+)
+def test_snr_whose_signal_power_overflows_exits_two(argv, flag, tmp_path, capsys):
+    # These ended in an OverflowError traceback from 10 ** (snr / 10).
+    assert main(argv + ["--out", str(tmp_path / "never")]) == 2
+    assert f"{flag}: too large" in capsys.readouterr().err
+    assert list(tmp_path.glob("never*")) == []

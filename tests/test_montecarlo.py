@@ -2,7 +2,10 @@
 import concurrent.futures
 import io
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_pair
+import specsense
 import specsense.harness as harness
 from specsense.detector import (
     ThresholdMode,
@@ -342,6 +346,53 @@ def test_sweep_factor_orders_pd_exactly_under_pairing():
         pds = [curves[f].points[idx].pd for f in (1.0, 1.5, 2.0, 2.5)]
         # same streams, rising thresholds: detection can only shrink
         assert pds[0] >= pds[1] >= pds[2] >= pds[3]
+
+
+def test_sweep_snr_rejects_an_snr_whose_signal_power_overflows():
+    plan = _static_plan(n_trials=10)
+    with pytest.raises(ValueError, match="4000.0 dB"):
+        sweep_snr(plan, [0.0, 4000.0])
+    with pytest.raises(ValueError, match="not finite"):
+        sweep_snr(replace(plan, sigma_w2_true=1e307), [20.0], modes=(ThresholdMode.STATIC,))
+
+
+def test_sweep_derives_each_chunks_states_once(monkeypatch):
+    # Every plan of a factor sweep reads the same (master_seed, trial, role)
+    # substreams, so each chunk's generator states are derived once for all
+    # twelve plans, not once per plan.
+    real = harness._pcg64_states
+    calls = []
+
+    def counting(seeds):
+        calls.append(len(seeds))
+        return real(seeds)
+
+    monkeypatch.setattr(harness, "_pcg64_states", counting)
+    factors, snrs = [1.0, 1.5, 2.0, 2.5], [-6.0, -2.0, 0.0]
+    for n_trials, chunks in ((harness._CHUNK, 1), (300, 3)):
+        plan = _static_plan(n_trials=n_trials)
+        harness._seeded_states.cache_clear()
+        calls.clear()
+        curves = sweep_threshold_factor(plan, factors, snrs)
+        assert len(calls) == chunks, n_trials
+        assert not harness._trial_states(plan, 0, 1).flags.writeable
+        for factor, curve in curves.items():
+            assert list(curve.points) == [
+                run_point(replace(plan, sigma_nominal2=factor,
+                                  sigma_s2=harness._snr_to_sigma_s2(plan, snr)))
+                for snr in snrs
+            ]
+    for workers in (2, 3):  # the 300-trial sweep, its chunks spread over a pool
+        assert sweep_threshold_factor(plan, factors, snrs, workers=workers) == curves
+
+
+def test_import_leaves_the_pool_module_unloaded():
+    # Only a call that starts a process pool imports concurrent.futures.
+    code = "import sys, specsense; print('concurrent.futures' in sys.modules)"
+    source = Path(specsense.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(source)}, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.fixture
