@@ -18,6 +18,7 @@ from typing import Sequence
 from .detector import ThresholdMode, Verdict
 from .harness import (
     TrialPlan,
+    power_at_db,
     sense_once,
     sweep_pfa,
     sweep_snr,
@@ -182,14 +183,6 @@ def _merge_options(args: argparse.Namespace) -> _Resolved:
     return _Resolved(command=args.command, options=merged)
 
 
-def _signal_power(sigma_w2: float, snr: float) -> float:
-    """``sigma_w2 * 10^(snr/10)``, inf where that overflows."""
-    try:
-        return sigma_w2 * 10.0 ** (snr / 10.0)
-    except OverflowError:
-        return math.inf
-
-
 def _validate(res: _Resolved) -> None:
     o = res.options
     for key, (kind, _, _) in _OPTIONS.items():
@@ -219,6 +212,11 @@ def _validate(res: _Resolved) -> None:
         raise UsageError(f"mismatch-db: must be non-negative (got {o['mismatch_db']})")
     if o["sigma_w2"] <= 0.0:
         raise UsageError(f"sigma-w2: must be positive (got {o['sigma_w2']})")
+    if not math.isfinite(power_at_db(o["sigma_w2"], o["mismatch_db"])):
+        raise UsageError(
+            f"mismatch-db: too large, the wandering noise power "
+            f"sigma-w2 * 10^(mismatch-db/10) is not finite (got {o['mismatch_db']})"
+        )
     if o["nominal"] is not None and o["nominal"] <= 0.0:
         raise UsageError(f"nominal: must be positive (got {o['nominal']})")
     if o["factor"] is not None and o["factor"] <= 0.0:
@@ -238,7 +236,7 @@ def _validate(res: _Resolved) -> None:
             f"snr-max: must be at least snr-min={o['snr_min']} (got {o['snr_max']})"
         )
     for key in ("snr", "snr_min", "snr_max"):
-        if not math.isfinite(_signal_power(o["sigma_w2"], o[key])):
+        if not math.isfinite(power_at_db(o["sigma_w2"], o[key])):
             raise UsageError(
                 f"{key.replace('_', '-')}: too large, the signal power "
                 f"sigma-w2 * 10^(snr/10) is not finite (got {o[key]})"
@@ -272,7 +270,7 @@ def _build_plan(res: _Resolved, hypothesis: Hypothesis) -> TrialPlan:
         mode=ThresholdMode.DYNAMIC if res.mode == "dynamic" else ThresholdMode.STATIC,
         sigma_w2_true=sigma_w2,
         sigma_nominal2=nominal * factor,
-        sigma_s2=_signal_power(sigma_w2, float(res.snr)),
+        sigma_s2=power_at_db(sigma_w2, float(res.snr)),
         hypothesis=hypothesis,
         master_seed=int(res.seed),
         m_grid=int(res.m_grid),

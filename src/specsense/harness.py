@@ -69,6 +69,7 @@ __all__ = [
     "PointResult",
     "SweepResult",
     "TrialPlan",
+    "power_at_db",
     "run_point",
     "sense_once",
     "sweep_pfa",
@@ -157,6 +158,9 @@ class TrialPlan:
             raise ValueError("m_grid must be at least 2")
         if self.mismatch_db < 0.0:
             raise ValueError("mismatch_db must be non-negative")
+        if not math.isfinite(power_at_db(self.sigma_w2_true, self.mismatch_db)):
+            raise ValueError("mismatch_db too large: the noise power it can wander to, "
+                             "sigma_w2_true * 10^(mismatch_db/10), is not finite")
         if self.samples_per_symbol is not None and self.samples_per_symbol < 1:
             raise ValueError("samples_per_symbol must be >= 1")
         if self.master_seed < 0:
@@ -250,10 +254,8 @@ def _synthesize(plan: TrialPlan, states: np.ndarray, out: np.ndarray) -> list[fl
     column = {role: states[:, c] for c, role in enumerate(roles)}
     sigma_true = [plan.sigma_w2_true] * len(states)
     if plan.mismatch_db > 0.0:
-        sigma_true = [
-            plan.sigma_w2_true * 10.0 ** (offset / 10.0)
-            for offset in _uniforms(column[_ROLE_MISMATCH], plan.mismatch_db)
-        ]
+        offsets = _uniforms(column[_ROLE_MISMATCH], plan.mismatch_db)
+        sigma_true = [power_at_db(plan.sigma_w2_true, offset) for offset in offsets]
     h1, h0 = out[:, 0], out[:, 1]
     _fill_awgn(column[_ROLE_NOISE], sigma_true, h0)
     if plan.sigma_s2 > 0.0:
@@ -447,16 +449,22 @@ def _sweep(curves: dict, sweep_name: str, values: Sequence[float], workers: int)
     }
 
 
+def power_at_db(power: float, db: float) -> float:
+    """``power * 10^(db/10)``, the power ``db`` dB above ``power``; inf where
+    that overflows."""
+    try:
+        return power * 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _snr_to_sigma_s2(plan: TrialPlan, snr_db_value: float) -> float:
     """The signal power at ``snr_db_value`` dB above the plan's true noise.
 
     Raises:
         ValueError: when that power is not a finite float.
     """
-    try:
-        sigma_s2 = plan.sigma_w2_true * 10.0 ** (snr_db_value / 10.0)
-    except OverflowError:
-        sigma_s2 = math.inf
+    sigma_s2 = power_at_db(plan.sigma_w2_true, snr_db_value)
     if not math.isfinite(sigma_s2):
         raise ValueError(f"an SNR of {snr_db_value} dB gives a signal power that is not finite")
     return sigma_s2

@@ -2,11 +2,12 @@
 
 All randomness flows through integer seeds so that every trial of a larger
 experiment can be reproduced bit-for-bit from a single master seed.  Seeds
-and generator states come from numpy's ``SeedSequence`` mixing, computed
-for whole columns of seeds at once on one ``(4, rows)`` pool array, and
-streams are drawn row by row into stacked buffers; one stream is the stack
-of one.  Each row draws only the numbers its reader uses, bit for bit what
-``numpy.random.default_rng(seed)`` would give:
+and generator states come from numpy's ``SeedSequence``: a single seed
+from a ``SeedSequence`` object, a column of seeds from a vectorised copy
+of its mixing, run at once for every row on one ``(4, rows)`` uint32 pool
+array.  Streams are drawn row by row into stacked buffers; one stream is
+the stack of one.  Each row draws only the numbers its reader uses, bit
+for bit what ``numpy.random.default_rng(seed)`` would give:
 
 * noise rows draw normals through a ``Generator``: a complex row draws all
   its real parts, then all its imaginary parts; a float64 row, the real
@@ -69,29 +70,34 @@ def derive_seed(master_seed: int, *path: int | np.ndarray) -> int | np.ndarray:
     Returns the first ``uint64`` state word of
     ``SeedSequence(entropy=master_seed, spawn_key=path)``, so substreams for
     different ``path`` tuples (e.g. ``(trial, role)``) are statistically
-    independent and stable across platforms and process counts.
+    independent and stable across platforms and process counts.  With
+    scalar entries only the result is an ``int``, from that one
+    ``SeedSequence``.
 
     A path entry may also be a 1-D integer array with values in
     ``[0, 2**32)``.  Array entries broadcast together, and the result is
-    then a ``uint64`` array with one seed per row; with scalar entries only
-    it is an ``int``, the batch of one.
+    then a ``uint64`` array with one seed per row: the seed kernel mixes
+    the path words of every row into the master seed's ``SeedSequence``
+    pool at once.
     """
-    if master_seed < 0:
-        raise ValueError("master_seed must be non-negative")
-    words = _int_words(master_seed)
-    # A spawned SeedSequence zero-pads its entropy to the pool size, so the
-    # path words always start at word _POOL_SIZE.
-    entropy = words + [0] * (_POOL_SIZE - len(words))
+    if not any(isinstance(entry, np.ndarray) and entry.ndim == 1 for entry in path):
+        state = np.random.SeedSequence(master_seed, spawn_key=path).generate_state(1, np.uint64)
+        return int(state[0])
+    pool = np.random.SeedSequence(master_seed).pool[:, None]
+    words = []
     for entry in path:
         if isinstance(entry, np.ndarray) and entry.ndim == 1:
             if entry.dtype.kind not in "iu":
                 raise TypeError("array path entries must hold integers")
             if entry.size and (entry.min() < 0 or entry.max() > _MASK32):
                 raise ValueError("array path entries must lie in [0, 2**32)")
-            entropy.append(entry.astype(np.uint32))
+            words.append(entry.astype(np.uint32))
         else:
-            entropy.extend(_int_words(entry))
-    return _join_words(*_seed_sequence_state(entropy, 2))
+            words.extend(_int_words(entry))
+    # A spawned SeedSequence zero-pads its entropy to the pool size, so the
+    # path words start after the master seed's words, at word 4 or later.
+    mixed = max(_POOL_SIZE, len(_int_words(master_seed)))
+    return _join_words(*_seed_sequence_state(words, 2, pool, mixed))
 
 
 def _int_words(value: int) -> list[int]:
@@ -111,27 +117,25 @@ def _int_words(value: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, calls: int) -> tuple:
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
     """The constants of the first ``calls`` hashmix calls of one SeedSequence
     hasher, which do not depend on the data: call k xors its value with
     ``xor[k]``, then multiplies it by ``mul[k]``, the next constant.
 
-    Returns ``(xor, mul, xor_columns, mul_columns)``: tuples of ints, and
-    the same values as read-only ``(calls, 1)`` uint32 columns.
+    Returns ``(xor, mul)`` as read-only ``(calls, 1)`` uint32 columns.
     """
     consts = [init]
     for _ in range(calls):
         consts.append(consts[-1] * mult & _MASK32)
-    xor, mul = tuple(consts[:-1]), tuple(consts[1:])
-    columns = [np.array(values, np.uint32)[:, None] for values in (xor, mul)]
+    columns = [np.array(values, np.uint32)[:, None] for values in (consts[:-1], consts[1:])]
     for column in columns:
         column.flags.writeable = False
-    return xor, mul, *columns
+    return tuple(columns)
 
 
 def _hashmix(value, xor, mul):
-    """SeedSequence's hashmix of one word with int constants, or of several
-    pool words at once with a uint32 column of constants per word."""
+    """SeedSequence's hashmix of several pool words at once, with a uint32
+    column of constants per word."""
     value = (value ^ xor) * mul & _MASK32
     return value ^ value >> _XSHIFT
 
@@ -145,74 +149,60 @@ def _mix(x, y):
 _OTHERS = tuple([dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE))
 
 
-def _seed_sequence_state(entropy: list, n_words: int):
+def _seed_sequence_state(entropy: list, n_words: int, pool: np.ndarray | None = None,
+                         mixed: int = 0) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(n_words)``, for every row at once.
 
-    Each entropy word is an ``int``, the same on every row, or a uint32
-    array with one value per row; arrays broadcast together.  Words missing
-    below the pool size hash as 0, as in numpy.  The pool is a list of
-    Python ints while every word is an int, and the result is then a list
-    of ``n_words`` ints.  From the first array word on, the pool is one
+    Each entropy word is a uint32 array with one value per row, or an
+    ``int``, the same on every row; words broadcast together, and words
+    missing below the pool size hash as 0, as in numpy.  The pool is one
     ``(4, rows)`` uint32 array: a pool word is hashed into its three
     destinations in one step, a further entropy word into all four pool
-    words in one step, and the result is an ``(n_words, rows)`` uint32
-    array.
+    words in one step.  The result is an ``(n_words, rows)`` uint32 array.
+
+    ``pool`` may hold the pool a SeedSequence has already made of its first
+    ``mixed`` words (at least the pool size); ``entropy`` then holds the
+    words after them.
     """
-    words = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
+    words = list(entropy) + [0] * (_POOL_SIZE - mixed - len(entropy))
     # 4 initial hashes, 12 cross mixes, then 4 hashes per further word.
-    xor, mul, xor_col, mul_col = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(words))
-    head = words[:_POOL_SIZE]
-    if all(isinstance(word, int) for word in head):
-        pool = [_hashmix(word, x, m) for word, x, m in zip(head, xor, mul)]
-        call = _POOL_SIZE
-        for src in range(_POOL_SIZE):
-            for dst in _OTHERS[src]:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[call], mul[call]))
-                call += 1
-    else:
-        head = np.broadcast_arrays(*(np.asarray(word, np.uint32) for word in head))
-        pool = _hashmix(np.stack(head), xor_col[:_POOL_SIZE], mul_col[:_POOL_SIZE])
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (mixed + len(words)))
+    if pool is None:
+        head = np.broadcast_arrays(*(np.asarray(word, np.uint32) for word in words[:_POOL_SIZE]))
+        pool = _hashmix(np.stack(head), xor[:_POOL_SIZE], mul[:_POOL_SIZE])
         for src in range(_POOL_SIZE):
             calls = slice(_POOL_SIZE + 3 * src, _POOL_SIZE + 3 * src + 3)
             dst = _OTHERS[src]
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor_col[calls], mul_col[calls]))
-    for i in range(_POOL_SIZE, len(words)):
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[calls], mul[calls]))
+        words, mixed = words[_POOL_SIZE:], _POOL_SIZE
+    for i, word in enumerate(words, mixed):
         calls = slice(_POOL_SIZE * i, _POOL_SIZE * (i + 1))
-        if isinstance(pool, list) and isinstance(words[i], int):
-            hashed = [_hashmix(words[i], x, m) for x, m in zip(xor[calls], mul[calls])]
-            pool = [_mix(p, h) for p, h in zip(pool, hashed)]
-        else:
-            if isinstance(pool, list):
-                pool = np.array(pool, np.uint32)[:, None]
-            pool = _mix(pool, _hashmix(words[i], xor_col[calls], mul_col[calls]))
-    xor, mul, xor_col, mul_col = _hash_constants(_INIT_B, _MULT_B, n_words)
-    if isinstance(pool, list):
-        return [_hashmix(pool[i % _POOL_SIZE], xor[i], mul[i]) for i in range(n_words)]
-    return _hashmix(pool[[i % _POOL_SIZE for i in range(n_words)]], xor_col, mul_col)
+        pool = _mix(pool, _hashmix(word, xor[calls], mul[calls]))
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, n_words)
+    return _hashmix(pool[[i % _POOL_SIZE for i in range(n_words)]], xor, mul)
 
 
-def _join_words(lo, hi):
-    """64-bit values from their low and high 32-bit words: an ``int`` from
-    ints, else a ``uint64`` array.  Built arithmetically, not by viewing
-    the words' bytes, so the result does not depend on byte order."""
-    if isinstance(lo, int):
-        return lo | hi << 32
+def _join_words(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``uint64`` values from their low and high 32-bit words.  Built
+    arithmetically, not by viewing the words' bytes, so the result does not
+    depend on byte order."""
     return lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)
 
 
 def _pcg64_states(seeds) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, uint64)`` of each seed, as rows.
 
-    ``seeds`` is one non-negative ``int`` or a ``uint64`` array.  An array
-    seed enters as two words; a zero high word hashes exactly as the
-    padding of a seed below 2**32, which SeedSequence makes one word.
+    ``seeds`` is one non-negative ``int``, whose one row comes from that
+    ``SeedSequence``, or a ``uint64`` array, whose rows come from the seed
+    kernel.  An array seed enters as two words; a zero high word hashes
+    exactly as the padding of a seed below 2**32, which SeedSequence makes
+    one word.
     """
-    if isinstance(seeds, np.ndarray):
-        seeds = seeds.astype(np.uint64)
-        entropy = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
-    else:
-        entropy = _int_words(seeds)
-    words = np.asarray(_seed_sequence_state(entropy, 8), np.uint64).reshape(8, -1)
+    if not isinstance(seeds, np.ndarray):
+        return np.random.SeedSequence(seeds).generate_state(4, np.uint64)[None]
+    seeds = seeds.astype(np.uint64)
+    entropy = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
+    words = _seed_sequence_state(entropy, 8)
     return np.ascontiguousarray(_join_words(words[0::2], words[1::2]).T)
 
 
@@ -394,10 +384,6 @@ class SampleFrame:
     @property
     def n(self) -> int:
         return self.data.shape[1]
-
-    def to_stream(self) -> np.ndarray:
-        """Undo the framing: concatenate columns back into a stream."""
-        return self.data.ravel(order="F")
 
 
 def frame(stream: np.ndarray, l: int, n: int) -> SampleFrame:

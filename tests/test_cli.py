@@ -355,11 +355,17 @@ def test_static_commands_run_at_n_equal_to_l(tmp_path, capsys):
     [(["sense", "--snr", "4000"], "snr"),
      (["sweep-snr", "--snr-min", "4000", "--snr-max", "4000"], "snr-min"),
      (["sweep-snr", "--snr-max", "4000"], "snr-max"),
-     (["sense", "--sigma-w2", "1e307", "--snr", "20"], "snr")],
-    ids=["sense", "sweep-snr-min", "sweep-snr-max", "sense-large-noise"],
+     (["sense", "--sigma-w2", "1e307", "--snr", "20"], "snr"),
+     (["sense", "--mismatch-db", "4000"], "mismatch-db"),
+     (["sweep-snr", "--quick", "--snr-min", "0", "--snr-max", "0", "--mismatch-db", "4000"],
+      "mismatch-db")],
+    ids=["sense", "sweep-snr-min", "sweep-snr-max", "sense-large-noise", "sense-mismatch",
+         "sweep-snr-mismatch"],
 )
 def test_snr_whose_signal_power_overflows_exits_two(argv, flag, tmp_path, capsys):
-    # These ended in an OverflowError traceback from 10 ** (snr / 10).
+    # These ended in an OverflowError traceback from 10 ** (snr / 10), or
+    # from 10 ** (offset / 10) once a trial's noise wander passed about
+    # 3 082 dB.
     assert main(argv + ["--out", str(tmp_path / "never")]) == 2
     assert f"{flag}: too large" in capsys.readouterr().err
     assert list(tmp_path.glob("never*")) == []

@@ -72,6 +72,12 @@ def test_trial_plan_validation():
         _static_plan(sigma_s2=-1.0)
     with pytest.raises(ValueError):
         _static_plan(mismatch_db=-0.5)
+    # A wander to a power that is not finite: an OverflowError from
+    # 10 ** (offset / 10) in synthesis, or noise rows of infinite power.
+    for sigma_w2_true, mismatch_db in ((1.0, 4000.0), (1e307, 20.0)):
+        with pytest.raises(ValueError, match="mismatch_db too large"):
+            _static_plan(sigma_w2_true=sigma_w2_true, mismatch_db=mismatch_db)
+    _static_plan(mismatch_db=3000.0)
     with pytest.raises(ValueError, match="master_seed"):
         _static_plan(master_seed=-1)
     _static_plan(master_seed=0)
@@ -387,12 +393,16 @@ def test_sweep_derives_each_chunks_states_once(monkeypatch):
 
 
 def test_import_leaves_the_pool_module_unloaded():
-    # Only a call that starts a process pool imports concurrent.futures.
-    code = "import sys, specsense; print('concurrent.futures' in sys.modules)"
+    # Only a call that starts a process pool imports concurrent.futures, and
+    # only a call that seeds or draws imports numpy.random, where numpy
+    # itself loads it lazily.
+    code = ("import sys, numpy; print('numpy.random' in sys.modules); import specsense; "
+            "print('concurrent.futures' in sys.modules, 'numpy.random' in sys.modules)")
     source = Path(specsense.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(source)}, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    numpy_loads_random, after_import = done.stdout.split("\n", 1)
+    assert after_import.strip() == f"False {numpy_loads_random}"
 
 
 @pytest.fixture
