@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .detector import ThresholdMode, Verdict
 from .harness import (
+    FailureGuardError,
     TrialPlan,
     power_at_db,
     sense_once,
@@ -25,7 +26,6 @@ from .harness import (
     sweep_threshold_factor,
     write_results,
 )
-from .noise_estimator import EstimationFailure
 from .signal_model import Hypothesis
 from .svg import Series, render_line_chart
 
@@ -280,19 +280,14 @@ def _build_plan(res: _Resolved, hypothesis: Hypothesis) -> TrialPlan:
 
 
 def _emit(key: str, value: object) -> None:
+    rendered = str(value)  # a float's str is its shortest round-trip repr
     if isinstance(value, bool):
         rendered = "true" if value else "false"
-    elif isinstance(value, float):
-        rendered = repr(value)
-    else:
-        rendered = str(value)
     print(f"{key}={rendered}")
 
 
 def _single_plan(res: _Resolved, default_hypothesis: Hypothesis) -> TrialPlan:
-    hyp = default_hypothesis
-    if res.hypothesis is not None:
-        hyp = Hypothesis.H1 if res.hypothesis == "h1" else Hypothesis.H0
+    hyp = default_hypothesis if res.hypothesis is None else Hypothesis(res.hypothesis)
     return _build_plan(res, hyp)
 
 
@@ -337,26 +332,30 @@ def _cmd_sweep(res: _Resolved) -> int:
     """sweep-snr, sweep-pfa or sweep-factor: one CSV per curve, then the chart."""
     plan = _build_plan(res, Hypothesis.H1)
     workers = int(res.workers)
-    if res.command == "sweep-factor":
-        factors = _FACTOR_LADDER if res.factor is None else (float(res.factor),)
-        curves = sweep_threshold_factor(plan, factors, _snr_grid(res), workers=workers)
-        named = {f"factor_{factor:g}": result for factor, result in curves.items()}
-    else:
-        if res.command == "sweep-snr":
-            sweep, grid = sweep_snr, _snr_grid(res)
+    failure = None
+    try:
+        if res.command == "sweep-factor":
+            factors = _FACTOR_LADDER if res.factor is None else (float(res.factor),)
+            curves = sweep_threshold_factor(plan, factors, _snr_grid(res), workers=workers)
         else:
-            sweep, grid = sweep_pfa, [float(v) for v in str(res.pfa_grid).split(",")]
-        modes = (ThresholdMode.STATIC, ThresholdMode.DYNAMIC)
-        if res.mode is not None:
-            modes = (ThresholdMode(res.mode),)
-        curves = sweep(plan, grid, modes=modes, workers=workers)
-        named = {mode.value: result for mode, result in curves.items()}
+            if res.command == "sweep-snr":
+                sweep, grid = sweep_snr, _snr_grid(res)
+            else:
+                sweep, grid = sweep_pfa, [float(v) for v in str(res.pfa_grid).split(",")]
+            modes = tuple(ThresholdMode) if res.mode is None else (ThresholdMode(res.mode),)
+            curves = sweep(plan, grid, modes=modes, workers=workers)
+    except FailureGuardError as exc:  # write the completed rows, then fail
+        curves, failure = exc.curves, exc
+    named = {key.value if isinstance(key, ThresholdMode) else f"factor_{key:g}": result
+             for key, result in curves.items()}
     stem = str(res.out if res.out is not None else res.command.replace("-", "_"))
     stem = stem.removesuffix(".csv")
     for name, result in named.items():
         path = f"{stem}_{name}.csv"
         write_results(result, path)
         _emit(f"output_csv_{name}", path)
+    if failure is not None:
+        raise failure
     if res.plot:
         series = [
             Series(label=name.replace("_", " "), x=result.values,
@@ -395,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return _DISPATCH[args.command](resolved)
-    except (EstimationFailure, RuntimeError, OSError, ValueError) as exc:
+    except (RuntimeError, OSError, ValueError) as exc:  # EstimationFailure included
         print(f"specsense: failure: {exc}", file=sys.stderr)
         return 1
 

@@ -10,18 +10,11 @@ Trials run in chunks of ``_CHUNK`` and, inside a chunk, in blocks of
 ``_BLOCK``.  The unit of work a worker process takes is one chunk of a
 group of plans that differ only in ``mode``, such as the static and the
 dynamic plan of one point of a both-modes sweep: the group shares the
-chunk's trials.  A sweep hands all its units to one process pool, chunk by
-chunk: every group's unit for chunk 0, then every group's unit for chunk
-1, and so on.  The generator states of a chunk's substreams depend only on
-the master seed, the roles and the chunk, so every plan of a call shares
-them: they are derived in one vectorised seed computation and the last
-result is kept, which a process's next unit of the same chunk reuses.  A
+chunk's trials, and every plan of a call shares each chunk's generator
+states (:func:`_run_points` says how units are ordered and pooled).  A
 chunk allocates one stream workspace, a stack of ``2 * _BLOCK`` streams.
 A block writes the H1 and H0 streams of its trials into a leading slice
-of it, holding only what the group reads: with a DYNAMIC plan ``l * n``
-complex samples, with STATIC plans alone the real parts of the first
-``n`` samples, as float64 (``n`` normals per noise row), bit for bit the
-real parts of the full streams' prefixes.
+of it, holding only what the group reads (:func:`_synthesize`).
 Synthesis makes no temporary the size of the stack, so blocks do not
 hand such memory back to the system and fault it in again.  A block then
 runs each pipeline stage once over the stack for all the group's plans:
@@ -30,10 +23,10 @@ estimate (covariance, eigenvalues, MDL split, Marchenko-Pastur fit).
 Each row of a stacked stage is bit-for-bit the single-frame result, and
 the noise estimates are summed trial by trial in trial order, so a
 point's result depends neither on the block size nor on the plans beside
-it.  A sweep's pool has no more processes than units; with one process
-the units run in-process.  A call runs all its units before it reduces
-any plan, so a call whose plan trips the failure guard finishes its
-other units first and then raises for the first such plan.
+it.  A call runs all its units before it reduces any plan, so a call
+whose plan trips the failure guard finishes its other units first, then
+raises for the first such plan an error that carries every other plan's
+result.
 """
 from __future__ import annotations
 
@@ -66,6 +59,7 @@ from .signal_model import (
 )
 
 __all__ = [
+    "FailureGuardError",
     "PointResult",
     "SweepResult",
     "TrialPlan",
@@ -191,6 +185,18 @@ class SweepResult:
     sweep_name: str
     values: tuple[float, ...]
     points: tuple[PointResult, ...]
+
+
+class FailureGuardError(RuntimeError):
+    """More than 1% of a plan's trials failed their noise estimate.
+
+    ``points`` holds every plan's result, None where the guard tripped; a
+    sweep's error also holds ``curves``, each curve's completed rows.
+    """
+
+    def __init__(self, message: str, points: Sequence[PointResult | None]) -> None:
+        super().__init__(message)
+        self.points, self.curves = tuple(points), {}
 
 
 def synthesize_pair(plan: TrialPlan, trial: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -346,31 +352,22 @@ def _run_chunk(plans: Sequence[TrialPlan], start: int) -> list[_Tally]:
     ]
 
 
-def _ci_halfwidth(p: float, n: int) -> float:
-    if n <= 0:
-        return math.nan
-    return _CI_Z * math.sqrt(p * (1.0 - p) / n)
-
-
-def _point_result(plan: TrialPlan, tallies: Sequence[_Tally]) -> PointResult:
-    """Reduce one plan's chunk tallies, in chunk order, to its point result."""
+def _point_result(plan: TrialPlan, tallies: Sequence[_Tally]) -> PointResult | None:
+    """Reduce one plan's chunk tallies, in chunk order, to its point result;
+    None when more than 1% of its trials failed."""
     det_h1, det_h0, failed, completed = (sum(t[i] for t in tallies) for i in (0, 1, 2, 4))
+    if failed > 0.01 * plan.n_trials:
+        return None
     sigma_sum = 0.0
     for t in tallies:  # fixed chunk order: float reduction is reproducible
         sigma_sum += t[3]
-
-    if failed > 0.01 * plan.n_trials:
-        raise RuntimeError(f"noise estimation failed in {failed}/{plan.n_trials} trials")
-    if completed == 0:
-        raise RuntimeError("no trial completed")
-
     pd = det_h1 / completed
     pfa = det_h0 / completed
     mean_sigma = None
     if plan.mode is ThresholdMode.DYNAMIC:
         mean_sigma = sigma_sum / (2.0 * completed)
-    return PointResult(pd=pd, pfa=pfa, pd_ci=_ci_halfwidth(pd, completed),
-                       pfa_ci=_ci_halfwidth(pfa, completed), mean_sigma_hat2=mean_sigma,
+    pd_ci, pfa_ci = (_CI_Z * math.sqrt(p * (1.0 - p) / completed) for p in (pd, pfa))
+    return PointResult(pd=pd, pfa=pfa, pd_ci=pd_ci, pfa_ci=pfa_ci, mean_sigma_hat2=mean_sigma,
                        failed_trials=failed, n_effective=completed)
 
 
@@ -392,7 +389,7 @@ def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
     Tallies come back in unit order whatever the worker count, and each
     plan's are reduced in chunk order.  Every unit runs before any plan is
     reduced; then the first plan, in plan order, that trips the failure
-    guard raises.
+    guard raises :class:`FailureGuardError`.
     """
     # The key is the plan with its mode set aside (as STATIC); the value, the
     # indices of the plans it stands for.
@@ -421,7 +418,13 @@ def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return [_point_result(plan, plan_tallies) for plan, plan_tallies in zip(plans, tallies)]
+    points = [_point_result(plan, plan_tallies) for plan, plan_tallies in zip(plans, tallies)]
+    if None in points:
+        first = points.index(None)
+        failed = sum(t[2] for t in tallies[first])
+        raise FailureGuardError(
+            f"noise estimation failed in {failed}/{plans[first].n_trials} trials", points)
+    return points
 
 
 def run_point(plan: TrialPlan, workers: int = 1) -> PointResult:
@@ -429,8 +432,8 @@ def run_point(plan: TrialPlan, workers: int = 1) -> PointResult:
 
     Trials whose blind noise estimation fails are excluded from both the
     numerator and denominator and reported in ``failed_trials``; more than
-    1% failures aborts, because the estimate would no longer be comparable
-    across points.
+    1% failures raises :class:`FailureGuardError`, because the estimate
+    would no longer be comparable across points.
 
     Args:
         plan: the point description.
@@ -440,13 +443,23 @@ def run_point(plan: TrialPlan, workers: int = 1) -> PointResult:
 
 
 def _sweep(curves: dict, sweep_name: str, values: Sequence[float], workers: int) -> dict:
-    """Run the plans of every curve as one batch; one SweepResult per curve."""
-    points = iter(_run_points([p for plans in curves.values() for p in plans], workers))
-    values = tuple(float(v) for v in values)
-    return {
-        key: SweepResult(sweep_name, values, tuple(itertools.islice(points, len(plans))))
-        for key, plans in curves.items()
-    }
+    """Run the plans of every curve as one batch; one SweepResult per curve,
+    of the rows that completed, which a FailureGuardError carries too."""
+    failure = None
+    try:
+        points = _run_points([p for plans in curves.values() for p in plans], workers)
+    except FailureGuardError as exc:
+        points, failure = exc.points, exc
+    points, results = iter(points), {}
+    for key, plans in curves.items():
+        rows = [(float(v), p) for v, p in zip(values, itertools.islice(points, len(plans)))
+                if p is not None]
+        results[key] = SweepResult(sweep_name, tuple(v for v, _ in rows),
+                                   tuple(p for _, p in rows))
+    if failure is None:
+        return results
+    failure.curves = results
+    raise failure
 
 
 def power_at_db(power: float, db: float) -> float:

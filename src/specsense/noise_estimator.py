@@ -142,16 +142,15 @@ def eigenvalues_hermitian(cov: CovarianceMatrix) -> EigenSpectrum:
 def _mdl_counts(lam: np.ndarray, n_snapshots: int) -> np.ndarray:
     """MDL signal count of every row of a (B, L) stack of descending spectra.
 
-    The tail means are filled split by split as ``sum / count``, which is
-    what ``np.mean`` computes, so each row scores exactly as it would alone.
+    The tail sums of every split come from one reversed cumulative sum along
+    each row, which adds a row's own entries only, so each row scores
+    exactly as it would alone.
     """
     size = lam.shape[1]
-    tails = np.stack([np.log(np.maximum(lam, _LOG_FLOOR)), lam])
-    means = np.empty_like(tails)
-    for k in range(size):
-        means[:, :, k] = tails[:, :, k:].sum(axis=2) / (size - k)
-    geo, ari = means  # log of the geometric mean and arithmetic mean of lam[:, k:]
     k = np.arange(size)
+    tails = np.stack([np.log(np.maximum(lam, _LOG_FLOOR)), lam])
+    # log of the geometric mean and arithmetic mean of lam[:, k:]
+    geo, ari = np.cumsum(tails[:, :, ::-1], axis=2)[:, :, ::-1] / (size - k)
     data_term = -(size - k) * n_snapshots * (geo - np.log(np.maximum(ari, _LOG_FLOOR)))
     penalty = 0.5 * k * (2 * size - k) * math.log(n_snapshots)
     return np.argmin(data_term + penalty, axis=1)  # first minimum: smallest K wins ties

@@ -135,13 +135,14 @@ def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.nd
 
 def _hashmix(value, xor, mul):
     """SeedSequence's hashmix of several pool words at once, with a uint32
-    column of constants per word."""
-    value = (value ^ xor) * mul & _MASK32
+    column of constants per word.  Here and in :func:`_mix`, uint32 arrays
+    wrap modulo 2**32 as SeedSequence's masks do, so no mask is needed."""
+    value = (value ^ xor) * mul
     return value ^ value >> _XSHIFT
 
 
 def _mix(x, y):
-    result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ result >> _XSHIFT
 
 

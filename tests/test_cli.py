@@ -1,6 +1,8 @@
 """Tests of the command-line front end: parsing, precedence, exit codes."""
+import numpy as np
 import pytest
 
+import specsense.harness as harness
 from specsense import cli
 from specsense.cli import main
 from specsense.detector import ThresholdMode
@@ -172,6 +174,38 @@ def test_sweep_snr_writes_both_modes_and_plot(tmp_path, capsys, monkeypatch):
     assert len(static.splitlines()) == 3  # header + two grid points
     svg = (tmp_path / "curve.svg").read_text()
     assert svg.startswith("<?xml") and "<polyline" in svg
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tripped_failure_guard_keeps_the_finished_rows(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)
+    args = ["sweep-snr", "--trials", "256", "--n", "32", "--l", "4", "--snr-min", "-10",
+            "--snr-max", "10", "--snr-step", "10", "--mismatch-db", "0", "--plot",
+            "--workers", str(workers)]
+    assert main(args + ["--out", "whole"]) == 0
+    capsys.readouterr()
+    real = harness.estimate_noise_batch
+
+    def fails_at_10_db(frames, m_grid):
+        # Only the H1 frames of the 10 dB point hold about 11 times the
+        # noise power; the pool's forked workers inherit this stand-in.
+        sigma = real(frames, m_grid)
+        sigma[np.mean(np.abs(frames) ** 2, axis=(1, 2)) > 5.0] = np.nan
+        return sigma
+
+    monkeypatch.setattr(harness, "estimate_noise_batch", fails_at_10_db)
+    assert main(args + ["--out", "part"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "specsense: failure: noise estimation failed in 256/256 trials\n"
+    assert captured.out.splitlines() == ["output_csv_static=part_static.csv",
+                                         "output_csv_dynamic=part_dynamic.csv"]
+    assert not (tmp_path / "part.svg").exists()
+    static, dynamic = ((tmp_path / f"{stem}_static.csv").read_text() for stem in ("whole", "part"))
+    assert dynamic == static  # the static curve never estimates, so it is whole
+    whole, part = ((tmp_path / f"{stem}_dynamic.csv").read_text().splitlines()
+                   for stem in ("whole", "part"))
+    assert part == whole[:3]  # the header, -10 dB and 0 dB
+    assert whole[3].startswith("10.0,")
 
 
 def test_sweep_snr_single_mode(tmp_path, capsys, monkeypatch):

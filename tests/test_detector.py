@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from specsense.detector import (
     Verdict,
+    _energies,
     closed_form_pd,
     closed_form_pfa,
     decide,
@@ -60,6 +63,38 @@ def test_q_roundtrip():
         assert abs(q_function(q_inverse(p)) - p) <= 1e-9
 
 
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_OPEN_UNIT, gap=st.floats(1e-6, 0.5))
+@example(p=5e-324, gap=0.5)
+@example(p=1.0 - 2.0**-52, gap=0.5)
+def test_q_inverse_finite_and_strictly_decreasing(p, gap):
+    # The next point sits a share of the nearer tail above p.  Adjacent
+    # floats may round to the same quantile, so the gap is at least 1e-6.
+    after = p + gap * min(p, 1.0 - p)
+    assume(p < after < 1.0)
+    assert math.isfinite(q_inverse(p))
+    assert q_inverse(p) > q_inverse(after)
+
+
+def test_q_inverse_at_the_ends_of_the_open_interval():
+    assert 38.0 < q_inverse(5e-324) < 39.0
+    assert -8.3 < q_inverse(1.0 - 2.0**-53) < -8.1
+    assert q_inverse(5e-324) > q_inverse(1e-323)
+    assert q_inverse(1.0 - 2.0**-52) > q_inverse(1.0 - 2.0**-53)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1e-12, 1.0 - 1e-12))
+@example(p=0.5)
+@example(p=0.5 - 2.0**-54)
+def test_q_inverse_matches_scipy_isf(p):
+    norm = pytest.importorskip("scipy.stats").norm
+    assert math.isclose(q_inverse(p), norm.isf(p), rel_tol=1e-12)
+
+
 def test_q_inverse_rejects_out_of_range():
     for p in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
@@ -104,6 +139,25 @@ def test_energy_statistic_hand_value():
     # 2 Re(x)^2 summed: 2 * (1 + 4 + 0)
     assert type(stat) is float
     np.testing.assert_allclose(stat, 10.0, rtol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 300)),
+       is_complex=st.booleans(), stride=st.integers(1, 3), scale_exp=st.integers(-150, 150),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_energies_equal_single_window_bits(shape, is_complex, stride, scale_exp, seed):
+    rng = np.random.default_rng(seed)
+    *stack, n = shape
+    x = rng.standard_normal((*stack, n * stride))
+    if is_complex:
+        x = x + 1j * rng.standard_normal(x.shape)
+    x *= 10.0**scale_exp
+    windows = x[..., ::stride]  # strided, and a strided .real view when complex
+    for view in (windows, windows.real):
+        energies = _energies(view)
+        assert energies.shape == tuple(stack)
+        for index in np.ndindex(*stack):
+            assert energies[index] == energy_statistic(view[index])
 
 
 def test_public_recipe_hits_target_pfa():

@@ -393,16 +393,17 @@ def test_sweep_derives_each_chunks_states_once(monkeypatch):
 
 
 def test_import_leaves_the_pool_module_unloaded():
-    # Only a call that starts a process pool imports concurrent.futures, and
-    # only a call that seeds or draws imports numpy.random, where numpy
-    # itself loads it lazily.
+    # Only a call that starts a process pool imports concurrent.futures, only
+    # a call that sets a threshold imports statistics, and only a call that
+    # seeds or draws imports numpy.random, where numpy itself loads it lazily.
     code = ("import sys, numpy; print('numpy.random' in sys.modules); import specsense; "
-            "print('concurrent.futures' in sys.modules, 'numpy.random' in sys.modules)")
+            "print('concurrent.futures' in sys.modules, 'statistics' in sys.modules, "
+            "'numpy.random' in sys.modules)")
     source = Path(specsense.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(source)}, timeout=120, check=True)
     numpy_loads_random, after_import = done.stdout.split("\n", 1)
-    assert after_import.strip() == f"False {numpy_loads_random}"
+    assert after_import.strip() == f"False False {numpy_loads_random}"
 
 
 @pytest.fixture
@@ -472,9 +473,15 @@ def test_sweep_raises_for_its_first_failing_point(workers):
     assert str(second.value) == "noise estimation failed in 200/200 trials"
     # Beside the static curve, whose plans never fail, the same dynamic point raises.
     for modes in ((ThresholdMode.DYNAMIC,), (ThresholdMode.STATIC, ThresholdMode.DYNAMIC)):
-        with pytest.raises(RuntimeError) as swept:
+        with pytest.raises(harness.FailureGuardError) as swept:
             sweep_snr(plan, [-20.0, 20.0, 0.0], modes=modes, workers=workers)
         assert str(swept.value) == str(second.value), modes
+        # The error keeps the points that finished: -20 dB and every static one.
+        assert swept.value.points[-3:] == (run_point(plan), None, None)
+        assert swept.value.curves[ThresholdMode.DYNAMIC].values == (-20.0,)
+        if ThresholdMode.STATIC in modes:
+            assert swept.value.curves[ThresholdMode.STATIC] == sweep_snr(
+                plan, [-20.0, 20.0, 0.0], modes=(ThresholdMode.STATIC,))[ThresholdMode.STATIC]
 
 
 def test_write_results_csv_layout():

@@ -19,6 +19,7 @@ from specsense.noise_estimator import (
     CovarianceMatrix,
     EigenSpectrum,
     EstimationFailure,
+    _mdl_counts,
     _mp_cdf_unit,
     eigenvalues_hermitian,
     estimate_noise,
@@ -174,6 +175,21 @@ def test_mdl_matches_brute_force_oracle():
         eigs = np.sort(rng.uniform(0.01, 10.0, size=l))[::-1]
         spectrum = EigenSpectrum(values=tuple(eigs))
         assert mdl_signal_count(spectrum, n) == mdl_brute(eigs, n)
+
+
+# Levels repeat and include zero, so spectra have exact ties and zero tails.
+_MDL_LEVELS = st.sampled_from([0.0, 0.0, 1e-300, 0.25, 1.0, 1.0, 1.0, 2.5, 40.0]) | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), l=st.integers(2, 32), rows=st.integers(1, 6),
+       n=st.integers(1, 4096))
+def test_stacked_mdl_counts_equal_each_row_alone(data, l, rows, n):
+    lam = np.array([sorted(data.draw(st.lists(_MDL_LEVELS, min_size=l, max_size=l)),
+                           reverse=True) for _ in range(rows)])
+    counts = _mdl_counts(lam, n)
+    for row, count in zip(lam, counts):
+        assert count == mdl_signal_count(EigenSpectrum(values=tuple(row)), n)
 
 
 def test_mdl_zero_eigenvalues_do_not_crash():
