@@ -464,7 +464,8 @@ def test_sweep_raises_for_its_first_failing_point(workers):
     # so estimation fails in most high-SNR trials; -20 dB stays clear
     plan = _static_plan(mode=ThresholdMode.DYNAMIC, n_trials=200, n=32, l=3,
                         samples_per_symbol=2, sigma_s2=0.01)
-    assert run_point(plan).failed_trials <= 2
+    clear = run_point(plan)
+    assert clear.failed_trials <= 2
     with pytest.raises(RuntimeError) as second:
         run_point(replace(plan, sigma_s2=100.0))
     with pytest.raises(RuntimeError) as third:
@@ -477,7 +478,7 @@ def test_sweep_raises_for_its_first_failing_point(workers):
             sweep_snr(plan, [-20.0, 20.0, 0.0], modes=modes, workers=workers)
         assert str(swept.value) == str(second.value), modes
         # The error keeps the points that finished: -20 dB and every static one.
-        assert swept.value.points[-3:] == (run_point(plan), None, None)
+        assert swept.value.points[-3:] == (clear, None, None)
         assert swept.value.curves[ThresholdMode.DYNAMIC].values == (-20.0,)
         if ThresholdMode.STATIC in modes:
             assert swept.value.curves[ThresholdMode.STATIC] == sweep_snr(

@@ -178,7 +178,8 @@ def test_mdl_matches_brute_force_oracle():
 
 
 # Levels repeat and include zero, so spectra have exact ties and zero tails.
-_MDL_LEVELS = st.sampled_from([0.0, 0.0, 1e-300, 0.25, 1.0, 1.0, 1.0, 2.5, 40.0]) | st.floats(0.0, 1e6)
+_MDL_LEVELS = (st.sampled_from([0.0, 0.0, 1e-300, 0.25, 1.0, 1.0, 1.0, 2.5, 40.0])
+               | st.floats(0.0, 1e6))
 
 
 @settings(max_examples=150, deadline=None)
