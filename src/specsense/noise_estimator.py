@@ -9,6 +9,16 @@ empirical distribution of the noise eigenvalues.  The Marchenko-Pastur CDF
 is evaluated in closed form from the analytic antiderivative of its
 density, so the fit needs no numerical integration.
 
+The fit scores every candidate of a row's grid at once.  Its cells are laid
+out (rows, noise eigenvalues, candidates), so the division, the CDF and the
+residuals run along contiguous grid rows of ``m_grid`` values rather than
+along the few noise eigenvalues.  Only the sum of each candidate's squared
+residuals goes through a transposed (rows, candidates, eigenvalues) copy,
+which keeps numpy's summation order.  Grids are ``np.linspace``'s
+arithmetic written out, both of its step branches included.  Every score
+thus has the bits of the plain broadcast form that the test suite keeps
+as its reference.
+
 Every stage works on a stack of frames at once; :func:`estimate_noise_batch`
 runs the whole pipeline over a stack, and :func:`estimate_noise` is the
 batch of one with a full diagnostic record.  Rows of a stack never mix:
@@ -225,18 +235,33 @@ def _mp_cdf_unit(z: np.ndarray, p: float) -> np.ndarray:
     root = math.sqrt(p)
     a = (1.0 - root) ** 2
     b = (1.0 + root) ** 2
-    z = np.asarray(z, dtype=np.float64)
-    r = np.sqrt(np.maximum((b - z) * (z - a), 0.0))
     q = 1.0 - p
-    total = (
-        r
-        + (1.0 + p) * np.arctan2(z - (1.0 + p), r)
-        - q * np.arctan2((1.0 + p) * z - q * q, q * r)
-    )
-    out = np.clip(0.5 + total / (2.0 * math.pi * p), 0.0, 1.0)
-    out = np.where(z <= a, 0.0, out)
-    out = np.where(z >= b, 1.0, out)
-    return out
+    z = np.asarray(z, dtype=np.float64)
+    # Three buffers beside z, written in place one operation at a time in
+    # the formula's left-to-right order, so every value rounds as the plain
+    # expression does.
+    r = np.subtract(b, z)
+    t = np.subtract(z, a)
+    np.multiply(r, t, out=r)
+    np.maximum(r, 0.0, out=r)
+    np.sqrt(r, out=r)
+    np.subtract(z, 1.0 + p, out=t)
+    np.arctan2(t, r, out=t)
+    np.multiply(t, 1.0 + p, out=t)
+    np.add(r, t, out=t)
+    u = np.multiply(z, 1.0 + p)
+    np.subtract(u, q * q, out=u)
+    np.multiply(r, q, out=r)
+    np.arctan2(u, r, out=u)
+    np.multiply(u, q, out=u)
+    np.subtract(t, u, out=t)
+    np.divide(t, 2.0 * math.pi * p, out=t)
+    np.add(t, 0.5, out=t)
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    np.copyto(t, 0.0, where=z <= a)
+    np.copyto(t, 1.0, where=z >= b)
+    return t
 
 
 def mp_cdf(z: float, p: float, sigma2: float) -> float:
@@ -284,14 +309,35 @@ def goodness_of_fit(noise_eigs: np.ndarray, p_eff: float, sigma2: float) -> floa
 def _fit_scores(noise_eigs: np.ndarray, p_eff: float, grid: np.ndarray) -> np.ndarray:
     """Goodness-of-fit of every row against each of its candidate variances.
 
-    ``noise_eigs`` is (R, M) and ``grid`` is (R, G); the Marchenko-Pastur
-    CDF is evaluated over all (row, candidate, eigenvalue) cells in one
-    pass, and entry ``[r, i]`` is the fit score of candidate ``grid[r, i]``.
+    ``noise_eigs`` is (R, M) and ``grid`` is (R, G); entry ``[r, i]`` is the
+    fit score of candidate ``grid[r, i]``.  The Marchenko-Pastur CDF is
+    evaluated over all cells in one pass, laid out (R, M, G) so that the
+    division, the CDF and the residuals run along each row's contiguous
+    grid rather than along the short eigenvalue axis.  The squared
+    residuals then go through one transposed copy to (R, G, M), so each
+    score is numpy's own sum of a contiguous run of M values.
     """
     empirical = _plotting_positions(noise_eigs)
-    scaled = noise_eigs[:, None, :] / grid[:, :, None]
-    model = _mp_cdf_unit(scaled, p_eff)
-    return np.sqrt(np.sum((empirical[:, None, :] - model) ** 2, axis=2))
+    residual = _mp_cdf_unit(noise_eigs[:, :, None] / grid[:, None, :], p_eff)
+    np.subtract(empirical[:, :, None], residual, out=residual)
+    np.square(residual, out=residual)
+    return np.sqrt(np.sum(residual.transpose(0, 2, 1).copy(), axis=-1))
+
+
+def _linear_grid(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
+    """``np.linspace(lo, hi, m, axis=1)`` of rows with ``m >= 2``, by its own arithmetic.
+
+    Column ``i`` is ``lo + i * ((hi - lo) / (m - 1))`` and the last column is
+    ``hi``.  When any row's step underflows to 0, linspace rounds every row
+    of the call as ``lo + (i / (m - 1)) * (hi - lo)``, and so does this.
+    """
+    delta = (hi - lo)[:, None]
+    step = delta / (m - 1)
+    ramp = np.arange(m, dtype=np.float64)
+    grid = (ramp / (m - 1)) * delta if (step == 0.0).any() else ramp * step
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
 
 
 def _fit_spectra(
@@ -321,9 +367,9 @@ def _fit_spectra(
     # process raises peak memory by about 0.9 MB.
     for k, is_flat in set(zip(k_hat[usable].tolist(), flat[usable].tolist())):
         idx = np.flatnonzero(usable & (k_hat == k) & (flat == is_flat))
-        # Degenerate rows get their own one-point linspace: a zero step in
-        # one row would switch every row of a shared call to another rounding.
-        grid = np.linspace(lo[idx], hi[idx], 1 if is_flat else m_grid, axis=1)
+        # Degenerate rows are their own group: a zero step in one row would
+        # switch every row of a shared grid to the other rounding.
+        grid = lo[idx, None] if is_flat else _linear_grid(lo[idx], hi[idx], m_grid)
         fits = _fit_scores(lam[idx, k:], (1.0 - k / l) * (l / n), grid)
         sigma[idx] = grid[np.arange(idx.size), np.argmin(fits, axis=1)]
         scores[idx, : fits.shape[1]] = fits

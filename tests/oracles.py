@@ -2,7 +2,9 @@
 
 Each oracle reaches the same quantity as the package by a different
 algorithmic route, so agreement is evidence of correctness rather than
-a tautology.
+a tautology.  The Marchenko-Pastur fit references at the end are the
+plain broadcast forms of the package's in-place fit: the package must
+equal them bit for bit.
 """
 import math
 
@@ -163,3 +165,35 @@ def reference_pair(plan, trial: int) -> tuple[np.ndarray, np.ndarray, float]:
     points = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])  # the package's fixed order
     x = np.repeat(math.sqrt(plan.sigma_s2 / 2.0) * points[idx], sps)[:n_samples]
     return x + noise, noise, sigma_true
+
+
+def mp_cdf_unit_broadcast(z: np.ndarray, p: float) -> np.ndarray:
+    """Unit-variance Marchenko-Pastur CDF as one broadcast expression."""
+    root = math.sqrt(p)
+    a = (1.0 - root) ** 2
+    b = (1.0 + root) ** 2
+    z = np.asarray(z, dtype=np.float64)
+    r = np.sqrt(np.maximum((b - z) * (z - a), 0.0))
+    q = 1.0 - p
+    total = (
+        r
+        + (1.0 + p) * np.arctan2(z - (1.0 + p), r)
+        - q * np.arctan2((1.0 + p) * z - q * q, q * r)
+    )
+    out = np.clip(0.5 + total / (2.0 * math.pi * p), 0.0, 1.0)
+    out = np.where(z <= a, 0.0, out)
+    out = np.where(z >= b, 1.0, out)
+    return out
+
+
+def fit_scores_broadcast(noise_eigs: np.ndarray, p_eff: float, grid: np.ndarray) -> np.ndarray:
+    """Fit scores over an (R, G, M) cube of rows x candidates x eigenvalues."""
+    ranks = np.sum(noise_eigs[:, None, :] <= noise_eigs[:, :, None], axis=2)
+    empirical = (ranks - 0.5) / noise_eigs.shape[1]
+    model = mp_cdf_unit_broadcast(noise_eigs[:, None, :] / grid[:, :, None], p_eff)
+    return np.sqrt(np.sum((empirical[:, None, :] - model) ** 2, axis=2))
+
+
+def linspace_grid(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
+    """Candidate grid of each row by ``np.linspace`` itself, laid out (R, m)."""
+    return np.linspace(lo, hi, m, axis=1)

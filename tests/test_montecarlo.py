@@ -401,7 +401,8 @@ def test_import_leaves_the_pool_module_unloaded():
             "'numpy.random' in sys.modules)")
     source = Path(specsense.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": str(source)}, timeout=120, check=True)
+                          env={"PYTHONPATH": str(source), "PYTHONDONTWRITEBYTECODE": "1"},
+                          timeout=120, check=True)
     numpy_loads_random, after_import = done.stdout.split("\n", 1)
     assert after_import.strip() == f"False False {numpy_loads_random}"
 

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     charpoly_eigs,
+    fit_scores_broadcast,
+    linspace_grid,
     mdl_brute,
     mp_cdf_quad,
+    mp_cdf_unit_broadcast,
     planted_spectrum_matrix,
     power_deflation_eigs,
     random_hermitian_psd,
@@ -19,6 +22,8 @@ from specsense.noise_estimator import (
     CovarianceMatrix,
     EigenSpectrum,
     EstimationFailure,
+    _fit_scores,
+    _linear_grid,
     _mdl_counts,
     _mp_cdf_unit,
     eigenvalues_hermitian,
@@ -300,6 +305,25 @@ def test_mp_cdf_rejects_bad_args():
         mp_cdf(1.0, 0.25, 0.0)
 
 
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ulps=st.lists(st.integers(-6, 6), min_size=1, max_size=40),
+)
+def test_mp_cdf_unit_equals_broadcast_reference_bit_for_bit(seed, p, ulps):
+    # in-place evaluation against the plain expression, a few ulps either
+    # side of each support edge, across the support and at non-finite points
+    root = math.sqrt(p)
+    offsets = np.array(ulps, dtype=float)
+    edges = [x + offsets * np.spacing(x) for x in ((1.0 - root) ** 2, (1.0 + root) ** 2)]
+    inside = np.random.default_rng(seed).uniform(0.0, 1.2 * (1.0 + root) ** 2, 500)
+    z = np.concatenate(edges + [inside, [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan]])
+    got = _mp_cdf_unit(z, p)
+    assert np.array_equal(got, mp_cdf_unit_broadcast(z, p), equal_nan=True)
+    assert np.array_equal(np.isnan(got), np.isnan(z))
+
+
 # ---------------------------------------------------------- goodness of fit
 
 
@@ -343,6 +367,52 @@ def test_goodness_of_fit_prefers_true_scale():
     right = goodness_of_fit(eigs, p_eff, 1.0)
     assert right < goodness_of_fit(eigs, p_eff, 0.7)
     assert right < goodness_of_fit(eigs, p_eff, 1.4)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    m=st.integers(2, 16),
+    g=st.integers(1, 300),
+    p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    log_scale=st.floats(-300.0, 300.0),
+    ties=st.booleans(),
+)
+def test_fit_scores_equal_broadcast_reference_bit_for_bit(seed, rows, m, g, p, log_scale, ties):
+    # the (R, M, G) layout must give every score the (R, G, M) cube's bits,
+    # at noise scales from 1e-300 to 1e300, with tied and zero eigenvalues
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    eigs = rng.uniform(0.0, 3.0, (rows, m))
+    if ties:
+        eigs = np.round(eigs)
+    eigs = np.sort(eigs, axis=1)[:, ::-1] * scale
+    grid = np.sort(rng.uniform(0.2, 2.0, (rows, g)), axis=1) * scale
+    got = _fit_scores(eigs, p, grid)
+    assert got.shape == (rows, g)
+    assert np.array_equal(got, fit_scores_broadcast(eigs, p, grid), equal_nan=True)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    m=st.integers(2, 300),
+    log_scale=st.floats(-300.0, 300.0),
+    zero_step=st.integers(0, 39),
+)
+def test_linear_grid_equals_linspace_bit_for_bit(seed, rows, m, log_scale, zero_step):
+    # one row of the group may span a single subnormal step, which (for
+    # m > 2) underflows to a zero step and switches every row's rounding
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.1, 1.0, rows) * 10.0**log_scale
+    hi = lo * rng.uniform(1.0, 20.0, rows)
+    if zero_step < rows:
+        lo[zero_step] = 5e-324 * float(rng.integers(1, 1000))
+        hi[zero_step] = lo[zero_step] + (5e-324 if m > 2 else 0.0)
+        assert ((hi - lo) / (m - 1) == 0.0).any()
+    assert np.array_equal(_linear_grid(lo, hi, m), linspace_grid(lo, hi, m))
 
 
 # ------------------------------------------------------------ full pipeline
