@@ -59,12 +59,12 @@ def energy_statistic(samples: np.ndarray) -> float:
     samples = np.asarray(samples)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D array")
-    return float(2.0 * np.dot(samples.real, samples.real))
+    return float(_energies(samples))
 
 
 def _energies(windows: np.ndarray) -> np.ndarray:
-    """The statistic of every window of a stack by one stacked ``matmul``,
-    each bit-for-bit what :func:`energy_statistic` gives alone."""
+    """The statistic of every window of a stack by one stacked ``matmul``;
+    :func:`energy_statistic` is its stack of one."""
     block = windows.real
     return 2.0 * (block[..., None, :] @ block[..., :, None])[..., 0, 0]
 

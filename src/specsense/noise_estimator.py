@@ -14,10 +14,10 @@ out (rows, noise eigenvalues, candidates), so the division, the CDF and the
 residuals run along contiguous grid rows of ``m_grid`` values rather than
 along the few noise eigenvalues.  Only the sum of each candidate's squared
 residuals goes through a transposed (rows, candidates, eigenvalues) copy,
-which keeps numpy's summation order.  Grids are ``np.linspace``'s
-arithmetic written out, both of its step branches included.  Every score
-thus has the bits of the plain broadcast form that the test suite keeps
-as its reference.
+which keeps numpy's summation order.  Each row's grid is ``np.linspace`` of
+that row's bounds alone, written out, and ``m_grid`` copies of ``lo`` when
+``lo == hi``.  Every score thus has the bits of the plain broadcast form that
+the test suite keeps as its reference, and depends on its own row only.
 
 Every stage works on a stack of frames at once; :func:`estimate_noise_batch`
 runs the whole pipeline over a stack, and :func:`estimate_noise` is the
@@ -325,16 +325,18 @@ def _fit_scores(noise_eigs: np.ndarray, p_eff: float, grid: np.ndarray) -> np.nd
 
 
 def _linear_grid(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
-    """``np.linspace(lo, hi, m, axis=1)`` of rows with ``m >= 2``, by its own arithmetic.
+    """Row ``r`` is ``np.linspace(lo[r], hi[r], m)``, m >= 2, by its own arithmetic.
 
-    Column ``i`` is ``lo + i * ((hi - lo) / (m - 1))`` and the last column is
-    ``hi``.  When any row's step underflows to 0, linspace rounds every row
-    of the call as ``lo + (i / (m - 1)) * (hi - lo)``, and so does this.
+    Column ``i`` is ``lo + i * ((hi - lo) / (m - 1))``, or, in a row whose own
+    step underflows to 0, ``lo + (i / (m - 1)) * (hi - lo)``; the last is ``hi``.
     """
     delta = (hi - lo)[:, None]
     step = delta / (m - 1)
     ramp = np.arange(m, dtype=np.float64)
-    grid = (ramp / (m - 1)) * delta if (step == 0.0).any() else ramp * step
+    grid = ramp * step
+    zero = step[:, 0] == 0.0
+    if zero.any():
+        grid[zero] = (ramp / (m - 1)) * delta[zero]
     grid += lo[:, None]
     grid[:, -1] = hi
     return grid
@@ -347,32 +349,29 @@ def _fit_spectra(
 
     ``lam`` is a (B, L) stack of descending eigenvalues of covariances over
     ``n`` snapshots.  Rows are fitted in groups that share ``k_hat`` (and so
-    the shape ratio and the number of noise eigenvalues) and grid size.
+    the shape ratio and the noise eigenvalue count); no row affects another.
 
     Returns:
         (k_hat, lo, hi, sigma_hat2, scores): ``sigma_hat2`` is NaN where MDL
         leaves fewer than two noise eigenvalues or the lower bound is zero;
-        row ``r`` of the (B, m_grid) ``scores`` holds that row's fit scores,
-        one (in column 0) for a degenerate grid ``lo == hi``, NaN elsewhere.
+        row ``r`` of the (B, m_grid) ``scores`` holds that row's fit scores
+        (all equal for a degenerate grid ``lo == hi``), NaN elsewhere.
     """
     b, l = lam.shape
     k_hat = _mdl_counts(lam, n)
     rows = np.arange(b)
     lo, hi = _support_bounds(lam[:, -1], lam[rows, np.minimum(k_hat, l - 2)], l / n)
     usable = (k_hat <= l - 2) & (lo > 0.0)
-    flat = lo == hi
     sigma = np.full(b, np.nan)
     scores = np.full((b, m_grid), np.nan)
     # Groups from a set of Python ints: the first np.unique call in a
     # process raises peak memory by about 0.9 MB.
-    for k, is_flat in set(zip(k_hat[usable].tolist(), flat[usable].tolist())):
-        idx = np.flatnonzero(usable & (k_hat == k) & (flat == is_flat))
-        # Degenerate rows are their own group: a zero step in one row would
-        # switch every row of a shared grid to the other rounding.
-        grid = lo[idx, None] if is_flat else _linear_grid(lo[idx], hi[idx], m_grid)
+    for k in set(k_hat[usable].tolist()):
+        idx = np.flatnonzero(usable & (k_hat == k))
+        grid = _linear_grid(lo[idx], hi[idx], m_grid)
         fits = _fit_scores(lam[idx, k:], (1.0 - k / l) * (l / n), grid)
         sigma[idx] = grid[np.arange(idx.size), np.argmin(fits, axis=1)]
-        scores[idx, : fits.shape[1]] = fits
+        scores[idx] = fits
     return k_hat, lo, hi, sigma, scores
 
 
@@ -388,9 +387,10 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
 
     Runs the covariance -> eigenvalues -> MDL split -> support bounds ->
     Marchenko-Pastur fit pipeline and returns the candidate variance with
-    the best fit (smallest grid value on ties).  When the bounds coincide
-    the grid is that one point and ``degenerate_grid`` is set.  This is the
-    batch of one of :func:`estimate_noise_batch`.
+    the best fit (smallest grid value on ties).  When the bounds coincide,
+    every candidate is that point, one score is reported and
+    ``degenerate_grid`` is set.  This is the batch of one of
+    :func:`estimate_noise_batch`.
 
     Raises:
         EstimationFailure: when MDL attributes all but one eigenvalue to

@@ -195,5 +195,5 @@ def fit_scores_broadcast(noise_eigs: np.ndarray, p_eff: float, grid: np.ndarray)
 
 
 def linspace_grid(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
-    """Candidate grid of each row by ``np.linspace`` itself, laid out (R, m)."""
-    return np.linspace(lo, hi, m, axis=1)
+    """Candidate grid of each row by ``np.linspace`` of that row alone, laid out (R, m)."""
+    return np.stack([np.linspace(a, b, m) for a, b in zip(lo, hi)])

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -23,6 +23,7 @@ from specsense.noise_estimator import (
     EigenSpectrum,
     EstimationFailure,
     _fit_scores,
+    _fit_spectra,
     _linear_grid,
     _mdl_counts,
     _mp_cdf_unit,
@@ -381,7 +382,8 @@ def test_goodness_of_fit_prefers_true_scale():
 )
 def test_fit_scores_equal_broadcast_reference_bit_for_bit(seed, rows, m, g, p, log_scale, ties):
     # the (R, M, G) layout must give every score the (R, G, M) cube's bits,
-    # at noise scales from 1e-300 to 1e300, with tied and zero eigenvalues
+    # at noise scales from 1e-300 to 1e300, with tied and zero eigenvalues;
+    # a candidate scores alone as it does inside its grid
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     eigs = rng.uniform(0.0, 3.0, (rows, m))
@@ -392,6 +394,10 @@ def test_fit_scores_equal_broadcast_reference_bit_for_bit(seed, rows, m, g, p, l
     got = _fit_scores(eigs, p, grid)
     assert got.shape == (rows, g)
     assert np.array_equal(got, fit_scores_broadcast(eigs, p, grid), equal_nan=True)
+    assert all(
+        np.array_equal(_fit_scores(eigs, p, grid[:, [i]]), got[:, [i]], equal_nan=True)
+        for i in range(g)
+    )
 
 
 @settings(derandomize=True, deadline=None)
@@ -403,8 +409,8 @@ def test_fit_scores_equal_broadcast_reference_bit_for_bit(seed, rows, m, g, p, l
     zero_step=st.integers(0, 39),
 )
 def test_linear_grid_equals_linspace_bit_for_bit(seed, rows, m, log_scale, zero_step):
-    # one row of the group may span a single subnormal step, which (for
-    # m > 2) underflows to a zero step and switches every row's rounding
+    # one row may span a single subnormal step, which (for m > 2)
+    # underflows to a zero step and switches that row's rounding alone
     rng = np.random.default_rng(seed)
     lo = rng.uniform(0.1, 1.0, rows) * 10.0**log_scale
     hi = lo * rng.uniform(1.0, 20.0, rows)
@@ -413,6 +419,16 @@ def test_linear_grid_equals_linspace_bit_for_bit(seed, rows, m, log_scale, zero_
         hi[zero_step] = lo[zero_step] + (5e-324 if m > 2 else 0.0)
         assert ((hi - lo) / (m - 1) == 0.0).any()
     assert np.array_equal(_linear_grid(lo, hi, m), linspace_grid(lo, hi, m))
+
+
+def test_degenerate_grid_scores_as_a_one_point_grid():
+    # at N = 128 the edges map 0.5625 and 1.5625 both to exactly 1.0
+    lam = np.array([[1.5625, 1.3, 1.2, 1.1, 1.0, 0.9, 0.7, 0.5625]])
+    k_hat, lo, hi, sigma, scores = _fit_spectra(lam, 128, 100)
+    assert k_hat[0] == 0 and lo[0] == hi[0] == 1.0
+    assert sigma[0] == 1.0
+    one_point = _fit_scores(lam, 8 / 128, np.array([[1.0]]))
+    assert np.array_equal(scores, np.repeat(one_point, 100, axis=1))
 
 
 # ------------------------------------------------------------ full pipeline
@@ -551,6 +567,36 @@ def test_batch_rows_equal_single_frame_estimates(seed, l, kinds):
     np.testing.assert_array_equal(got, np.array(want))  # bit-equal, NaN where failed
     contiguous = np.stack([frame(stream, l, n).data for stream in streams])
     np.testing.assert_array_equal(estimate_noise_batch(contiguous, m_grid=50), got)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    l=st.sampled_from([4, 8, 16]),
+    rows=st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.booleans(), st.floats(-162.0, 150.0)),
+        min_size=2,
+        max_size=6,
+    ),
+)
+# a frame beside its copy at 1e-161, whose grid step underflows to 0
+@example(l=8, rows=[(14, False, 0.0), (14, False, -161.0)])
+def test_batch_rows_never_mix_at_any_scale(l, rows):
+    n = 16 * l
+    frames = []
+    for seed, signal, log_scale in rows:
+        rng = np.random.default_rng(seed)
+        data = (rng.standard_normal((l, n)) + 1j * rng.standard_normal((l, n))) * math.sqrt(0.5)
+        if signal:  # rank 1
+            symbols = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            data += np.outer(rng.standard_normal(l), symbols)
+        frames.append(data * 10.0**log_scale)
+    want = []
+    for data in frames:
+        try:
+            want.append(estimate_noise(SampleFrame(data=data), m_grid=100).sigma_hat2)
+        except EstimationFailure:
+            want.append(math.nan)
+    np.testing.assert_array_equal(estimate_noise_batch(np.stack(frames), m_grid=100), want)
 
 
 def test_batch_zero_frame_fails_only_its_own_row():
