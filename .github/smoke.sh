@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# CLI smoke commands: run each command once, write every output to the
+# working directory, and check in-tree that sweep CSVs do not depend on the
+# worker count or on which modes share a run.  The arguments are the
+# command that starts the CLI, for example:
+#   .github/smoke.sh specsense
+#   PYTHONPATH=src .github/smoke.sh python -m specsense.cli
+set -euo pipefail
+run() { "${cli[@]}" "$@"; }
+cli=("$@")
+
+run --help > /dev/null
+run sense --mode dynamic > sense.txt
+run sense --mode dynamic --hypothesis h0 > sense-dynamic-h0.txt
+run estimate-noise > estimate-noise.txt
+run estimate-noise --hypothesis h1 --snr 3 > estimate-noise-h1.txt
+run estimate-noise --l 16 --n 256 --m-grid 200 > estimate-noise-l16.txt
+run sweep-pfa --quick --out smoke_pfa > /dev/null
+# The factor sweep puts many plans on each chunk across the pool.
+for w in 1 2; do
+  run sweep-snr --quick --trials 1000 --snr-min 0 --snr-max 0 --workers $w --out smoke_w$w
+  run sweep-factor --quick --trials 1000 --snr-min -4 --snr-max 0 --workers $w --out factor_w$w
+done > /dev/null
+cmp smoke_w1_static.csv smoke_w2_static.csv
+cmp smoke_w1_dynamic.csv smoke_w2_dynamic.csv
+for csv in factor_w1_factor_*.csv; do
+  cmp "$csv" "factor_w2${csv#factor_w1}"
+done
+# Each mode run alone writes the both-modes run's CSV.
+for mode in static dynamic; do
+  run sweep-snr --quick --trials 1000 --snr-min 0 --snr-max 0 --workers 2 --mode $mode \
+    --out smoke_$mode > /dev/null
+  cmp smoke_w2_$mode.csv smoke_${mode}_$mode.csv
+done

@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .detector import ThresholdMode, Verdict
@@ -31,19 +31,7 @@ from .svg import Series, render_line_chart
 
 __all__ = ["main"]
 
-_COMMANDS = {  # command -> its help line
-    "sense": "run one sensing decision on a single synthesized frame",
-    "sweep-snr": "Monte Carlo Pd/Pfa versus SNR",
-    "sweep-pfa": "Monte Carlo Pd/Pfa versus the target false-alarm rate",
-    "sweep-factor": "static-threshold scale-factor study versus SNR",
-    "estimate-noise": "blind noise-power estimate of one synthesized frame",
-}
 _FACTOR_LADDER = (1.0, 1.5, 2.0, 2.5)
-_CHART_LABELS = {  # (title, x-axis label) of each sweep's chart
-    "sweep-snr": ("Detection vs SNR", "SNR (dB)"),
-    "sweep-pfa": ("Detection vs target Pfa", "target Pfa"),
-    "sweep-factor": ("Static threshold factor study", "SNR (dB)"),
-}
 _ENV_SEED = "SPECSENSE_SEED"
 
 # Every option: key -> (type, or the tuple of its choices; default; help).
@@ -132,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, help_line in _COMMANDS.items():
+    for name, (help_line, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for key, (kind, _, help_text) in _OPTIONS.items():
             if kind is bool:
@@ -145,20 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    """Fully merged and validated option set for one command."""
-
-    command: str
-    options: dict[str, object]
-
-    def __getattr__(self, item: str) -> object:
-        try:
-            return self.options[item]
-        except KeyError:
-            raise AttributeError(item) from None
-
-
 def _env_seed() -> int | None:
     raw = os.environ.get(_ENV_SEED)
     if raw is None or raw.strip() == "":
@@ -169,7 +143,8 @@ def _env_seed() -> int | None:
         raise UsageError(f"{_ENV_SEED}: expected an integer, got {raw!r}") from None
 
 
-def _merge_options(args: argparse.Namespace) -> _Resolved:
+def _merge_options(args: argparse.Namespace) -> dict[str, object]:
+    """Every option's value, from flag, config file, environment or default."""
     merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
     env_seed = _env_seed()
     if env_seed is not None:
@@ -180,11 +155,10 @@ def _merge_options(args: argparse.Namespace) -> _Resolved:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
-    return _Resolved(command=args.command, options=merged)
+    return merged
 
 
-def _validate(res: _Resolved) -> None:
-    o = res.options
+def _validate(command: str, o: dict[str, object]) -> None:
     for key, (kind, _, _) in _OPTIONS.items():
         if kind is float and o[key] is not None and not math.isfinite(o[key]):
             raise UsageError(f"{key.replace('_', '-')}: must be finite (got {o[key]})")
@@ -195,7 +169,7 @@ def _validate(res: _Resolved) -> None:
     # Whether the command runs the blind noise estimator; sweeps without
     # --mode run both modes, sense without it runs static.
     estimates = {"sense": o["mode"] == "dynamic", "sweep-factor": False,
-                 "estimate-noise": True}.get(res.command, o["mode"] != "static")
+                 "estimate-noise": True}.get(command, o["mode"] != "static")
     if estimates and o["n"] <= o["l"]:
         raise UsageError(
             f"n: must exceed l={o['l']} for a noise estimate (got {o['n']})"
@@ -258,24 +232,23 @@ def _validate(res: _Resolved) -> None:
             )
 
 
-def _build_plan(res: _Resolved, hypothesis: Hypothesis) -> TrialPlan:
-    sigma_w2 = float(res.sigma_w2)
-    nominal = sigma_w2 if res.nominal is None else float(res.nominal)
-    factor = 1.0 if res.factor is None else float(res.factor)
+def _build_plan(o: dict[str, object]) -> TrialPlan:
+    sigma_w2 = float(o["sigma_w2"])
+    nominal = sigma_w2 if o["nominal"] is None else float(o["nominal"])
+    factor = 1.0 if o["factor"] is None else float(o["factor"])
     return TrialPlan(
-        n_trials=max(100, int(res.trials) // 10) if res.quick else int(res.trials),
-        n=int(res.n),
-        l=int(res.l),
-        target_pfa=float(res.pfa),
-        mode=ThresholdMode.DYNAMIC if res.mode == "dynamic" else ThresholdMode.STATIC,
+        n_trials=max(100, int(o["trials"]) // 10) if o["quick"] else int(o["trials"]),
+        n=int(o["n"]),
+        l=int(o["l"]),
+        target_pfa=float(o["pfa"]),
+        mode=ThresholdMode.DYNAMIC if o["mode"] == "dynamic" else ThresholdMode.STATIC,
         sigma_w2_true=sigma_w2,
         sigma_nominal2=nominal * factor,
-        sigma_s2=power_at_db(sigma_w2, float(res.snr)),
-        hypothesis=hypothesis,
-        master_seed=int(res.seed),
-        m_grid=int(res.m_grid),
-        mismatch_db=float(res.mismatch_db),
-        samples_per_symbol=None if res.sps is None else int(res.sps),
+        sigma_s2=power_at_db(sigma_w2, float(o["snr"])),
+        master_seed=int(o["seed"]),
+        m_grid=int(o["m_grid"]),
+        mismatch_db=float(o["mismatch_db"]),
+        samples_per_symbol=None if o["sps"] is None else int(o["sps"]),
     )
 
 
@@ -286,13 +259,8 @@ def _emit(key: str, value: object) -> None:
     print(f"{key}={rendered}")
 
 
-def _single_plan(res: _Resolved, default_hypothesis: Hypothesis) -> TrialPlan:
-    hyp = default_hypothesis if res.hypothesis is None else Hypothesis(res.hypothesis)
-    return _build_plan(res, hyp)
-
-
-def _cmd_sense(res: _Resolved) -> int:
-    decision, estimate = sense_once(_single_plan(res, Hypothesis.H1))
+def _cmd_sense(command: str, o: dict[str, object]) -> int:
+    decision, estimate = sense_once(_build_plan(o), Hypothesis(o["hypothesis"] or "h1"))
     _emit("statistic", decision.statistic)
     _emit("threshold", decision.threshold)
     if estimate is not None:
@@ -301,9 +269,9 @@ def _cmd_sense(res: _Resolved) -> int:
     return 0
 
 
-def _cmd_estimate_noise(res: _Resolved) -> int:
-    plan = _single_plan(res, Hypothesis.H0)
-    _, estimate = sense_once(replace(plan, mode=ThresholdMode.DYNAMIC))
+def _cmd_estimate_noise(command: str, o: dict[str, object]) -> int:
+    plan = replace(_build_plan(o), mode=ThresholdMode.DYNAMIC)
+    _, estimate = sense_once(plan, Hypothesis(o["hypothesis"] or "h0"))
     _emit("sigma_hat2", estimate.sigma_hat2)
     _emit("k_hat", estimate.k_hat)
     _emit("beta_hat", estimate.beta_hat)
@@ -317,38 +285,40 @@ def _cmd_estimate_noise(res: _Resolved) -> int:
     return 0
 
 
-def _snr_grid(res: _Resolved) -> list[float]:
+def _snr_grid(o: dict[str, object]) -> list[float]:
     grid = []
-    value = float(res.snr_min)
-    stop = float(res.snr_max)
-    step = float(res.snr_step)
+    value = float(o["snr_min"])
+    stop = float(o["snr_max"])
+    step = float(o["snr_step"])
     while value <= stop + 1e-9:
         grid.append(round(value, 12))
         value += step
     return grid
 
 
-def _cmd_sweep(res: _Resolved) -> int:
+def _cmd_sweep(command: str, o: dict[str, object]) -> int:
     """sweep-snr, sweep-pfa or sweep-factor: one CSV per curve, then the chart."""
-    plan = _build_plan(res, Hypothesis.H1)
-    workers = int(res.workers)
+    workers = int(o["workers"])
     failure = None
     try:
-        if res.command == "sweep-factor":
-            factors = _FACTOR_LADDER if res.factor is None else (float(res.factor),)
-            curves = sweep_threshold_factor(plan, factors, _snr_grid(res), workers=workers)
+        if command == "sweep-factor":
+            # Each factor scales the plan's nominal noise power, as --factor
+            # does for the other commands.
+            factors = _FACTOR_LADDER if o["factor"] is None else (float(o["factor"]),)
+            curves = sweep_threshold_factor(_build_plan({**o, "factor": None}), factors,
+                                            _snr_grid(o), workers=workers)
         else:
-            if res.command == "sweep-snr":
-                sweep, grid = sweep_snr, _snr_grid(res)
+            if command == "sweep-snr":
+                sweep, grid = sweep_snr, _snr_grid(o)
             else:
-                sweep, grid = sweep_pfa, [float(v) for v in str(res.pfa_grid).split(",")]
-            modes = tuple(ThresholdMode) if res.mode is None else (ThresholdMode(res.mode),)
-            curves = sweep(plan, grid, modes=modes, workers=workers)
+                sweep, grid = sweep_pfa, [float(v) for v in str(o["pfa_grid"]).split(",")]
+            modes = tuple(ThresholdMode) if o["mode"] is None else (ThresholdMode(o["mode"]),)
+            curves = sweep(_build_plan(o), grid, modes=modes, workers=workers)
     except FailureGuardError as exc:  # write the completed rows, then fail
         curves, failure = exc.curves, exc
     named = {key.value if isinstance(key, ThresholdMode) else f"factor_{key:g}": result
              for key, result in curves.items()}
-    stem = str(res.out if res.out is not None else res.command.replace("-", "_"))
+    stem = str(o["out"] if o["out"] is not None else command.replace("-", "_"))
     stem = stem.removesuffix(".csv")
     for name, result in named.items():
         path = f"{stem}_{name}.csv"
@@ -356,13 +326,13 @@ def _cmd_sweep(res: _Resolved) -> int:
         _emit(f"output_csv_{name}", path)
     if failure is not None:
         raise failure
-    if res.plot:
+    if o["plot"]:
         series = [
             Series(label=name.replace("_", " "), x=result.values,
                    y=tuple(point.pd for point in result.points))
             for name, result in named.items()
         ]
-        title, x_label = _CHART_LABELS[res.command]
+        title, x_label = _COMMANDS[command][2]
         path = f"{stem}.svg"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(render_line_chart(series, title, x_label, "probability of detection"))
@@ -370,12 +340,17 @@ def _cmd_sweep(res: _Resolved) -> int:
     return 0
 
 
-_DISPATCH = {
-    "sense": _cmd_sense,
-    "sweep-snr": _cmd_sweep,
-    "sweep-pfa": _cmd_sweep,
-    "sweep-factor": _cmd_sweep,
-    "estimate-noise": _cmd_estimate_noise,
+# command -> (help line, handler, (chart title, x-axis label) of a sweep)
+_COMMANDS = {
+    "sense": ("run one sensing decision on a single synthesized frame", _cmd_sense, None),
+    "sweep-snr": ("Monte Carlo Pd/Pfa versus SNR", _cmd_sweep,
+                  ("Detection vs SNR", "SNR (dB)")),
+    "sweep-pfa": ("Monte Carlo Pd/Pfa versus the target false-alarm rate", _cmd_sweep,
+                  ("Detection vs target Pfa", "target Pfa")),
+    "sweep-factor": ("static-threshold scale-factor study versus SNR", _cmd_sweep,
+                     ("Static threshold factor study", "SNR (dB)")),
+    "estimate-noise": ("blind noise-power estimate of one synthesized frame",
+                       _cmd_estimate_noise, None),
 }
 
 
@@ -387,13 +362,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("specsense: error: a command is required", file=sys.stderr)
         return 2
     try:
-        resolved = _merge_options(args)
-        _validate(resolved)
+        options = _merge_options(args)
+        _validate(args.command, options)
     except UsageError as exc:
         print(f"specsense: error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[args.command](resolved)
+        return _COMMANDS[args.command][1](args.command, options)
     except (RuntimeError, OSError, ValueError) as exc:  # EstimationFailure included
         print(f"specsense: failure: {exc}", file=sys.stderr)
         return 1

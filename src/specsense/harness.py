@@ -63,7 +63,6 @@ __all__ = [
     "PointResult",
     "SweepResult",
     "TrialPlan",
-    "power_at_db",
     "run_point",
     "sense_once",
     "sweep_pfa",
@@ -108,13 +107,15 @@ class TrialPlan:
         sigma_w2_true: true noise power before any per-trial mismatch.
         sigma_nominal2: noise power the static threshold assumes.
         sigma_s2: primary-user transmit power under H1 (0 disables it).
-        hypothesis: which hypothesis single-shot sensing simulates.
         master_seed: root of all per-trial substreams.
         m_grid: grid resolution of the blind noise estimator.
         mismatch_db: half-width of the uniform per-trial wander of the true
             noise power, in dB (0 disables the wander).
         samples_per_symbol: oversampling of the H1 waveform; None means l,
             which keeps each snapshot inside one symbol (rank-1 signal).
+
+    A trial runs both hypotheses on paired streams; the one a single
+    decision senses is an argument of :func:`sense_once`.
     """
 
     n_trials: int
@@ -125,7 +126,6 @@ class TrialPlan:
     sigma_w2_true: float = 1.0
     sigma_nominal2: float = 1.0
     sigma_s2: float = 1.0
-    hypothesis: Hypothesis = Hypothesis.H1
     master_seed: int = 42
     m_grid: int = 100
     mismatch_db: float = 0.0
@@ -272,10 +272,12 @@ def _synthesize(plan: TrialPlan, states: np.ndarray, out: np.ndarray) -> list[fl
     return sigma_true
 
 
-def sense_once(plan: TrialPlan) -> tuple[SensingDecision, NoiseEstimate | None]:
+def sense_once(
+    plan: TrialPlan, hypothesis: Hypothesis = Hypothesis.H1
+) -> tuple[SensingDecision, NoiseEstimate | None]:
     """One sensing decision on trial 0 of ``plan``, as a receiver makes it.
 
-    Synthesizes the trial-0 stream of ``plan.hypothesis``, takes the energy
+    Synthesizes the trial-0 stream of ``hypothesis``, takes the energy
     statistic of its first ``plan.n`` samples and compares it with the
     static threshold or, in dynamic mode, with the threshold set from a
     blind noise estimate of the stream's first frame.  Returns the decision
@@ -285,7 +287,7 @@ def sense_once(plan: TrialPlan) -> tuple[SensingDecision, NoiseEstimate | None]:
         EstimationFailure: in dynamic mode, when the frame yields no estimate.
     """
     y1, y0, _ = synthesize_pair(plan, 0)
-    stream = y1 if plan.hypothesis is Hypothesis.H1 else y0
+    stream = y1 if hypothesis is Hypothesis.H1 else y0
     statistic = energy_statistic(stream[: plan.n])
     estimate = None
     if plan.mode is ThresholdMode.DYNAMIC:
@@ -524,12 +526,14 @@ def sweep_threshold_factor(
 ) -> dict[float, SweepResult]:
     """Static-mode Pd versus SNR for a family of threshold scale factors.
 
-    Factor f runs the static detector with threshold f times the unit-
-    nominal value, i.e. an assumed noise power of f.
+    Factor f scales the plan's nominal noise power: it runs the static
+    detector with an assumed noise power of ``f * plan.sigma_nominal2``, so
+    factor 1 is the plan's own static threshold.
     """
     curves = {
         float(factor): [
-            replace(plan, mode=ThresholdMode.STATIC, sigma_nominal2=float(factor),
+            replace(plan, mode=ThresholdMode.STATIC,
+                    sigma_nominal2=plan.sigma_nominal2 * float(factor),
                     sigma_s2=_snr_to_sigma_s2(plan, snr))
             for snr in snr_grid_db
         ]

@@ -236,6 +236,17 @@ def test_sweep_factor_default_ladder(tmp_path, capsys, monkeypatch):
         assert (tmp_path / path).exists()
 
 
+def test_sweep_factor_scales_the_nominal_noise_power(tmp_path, capsys, monkeypatch):
+    # --nominal once left sweep-factor's CSVs unchanged.
+    monkeypatch.chdir(tmp_path)
+    common = ["sweep-factor", "--trials", "128", "--snr-min", "-2", "--snr-max", "0"]
+    assert main(common + ["--nominal", "2", "--factor", "1", "--out", "nominal"]) == 0
+    assert main(common + ["--factor", "2", "--out", "factor"]) == 0
+    capsys.readouterr()
+    nominal = (tmp_path / "nominal_factor_1.csv").read_bytes()
+    assert nominal == (tmp_path / "factor_factor_2.csv").read_bytes()
+
+
 def test_sweep_pfa_grid_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["sweep-pfa", "--trials", "128", "--mode", "static",
@@ -294,12 +305,42 @@ def test_every_option_resolves_alike_from_flag_and_config(command, tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("\n".join(lines) + "\n")
     parser = cli._build_parser()
-    from_flags = cli._merge_options(parser.parse_args(argv)).options
-    from_config = cli._merge_options(parser.parse_args([command, "--config", str(cfg)])).options
+    from_flags = cli._merge_options(parser.parse_args(argv))
+    from_config = cli._merge_options(parser.parse_args([command, "--config", str(cfg)]))
     for key in keys:
         want = _sample(cli._OPTIONS[key][0])[1]
         assert from_flags[key] == from_config[key] == want, key
         assert type(from_flags[key]) is type(from_config[key]) is type(want), key
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [(["sense", "--l", "1"], "l: must be at least 2"),
+     (["sense", "--n", "4", "--l", "8"], "n: must be at least l=8"),
+     (["sense", "--trials", "0"], "trials: must be positive"),
+     (["sense", "--m-grid", "1"], "m-grid: must be at least 2"),
+     (["sense", "--mismatch-db", "-1"], "mismatch-db: must be non-negative"),
+     (["sense", "--sigma-w2", "0"], "sigma-w2: must be positive"),
+     (["sense", "--nominal", "-1"], "nominal: must be positive"),
+     (["sense", "--factor", "0"], "factor: must be positive"),
+     (["sweep-snr", "--snr-step", "0"], "snr-step: must be positive"),
+     (["sweep-snr", "--snr-min", "3", "--snr-max", "1"], "snr-max: must be at least snr-min"),
+     (["sense", "--seed", "-1"], "seed: must be non-negative"),
+     (["sense", "--sps", "0"], "sps: must be at least 1"),
+     (["sweep-snr", "--workers", "0"], "workers: must be at least 1"),
+     ("mode = sideways", "mode: must be one of static, dynamic, got ' sideways'"),
+     ("n = abc", "n: expected an integer, got ' abc'")],
+    ids=["l", "n-below-l", "trials", "m-grid", "mismatch-db", "sigma-w2", "nominal", "factor",
+         "snr-step", "snr-max", "seed", "sps", "workers", "config-mode", "config-n"],
+)
+def test_every_usage_error_exits_two_and_names_its_flag(argv, message, tmp_path, capsys):
+    if isinstance(argv, str):  # a config-file line
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(argv + "\n")
+        argv = ["sweep-snr", "--config", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "never")]) == 2
+    assert f"specsense: error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.glob("never*")) == []
 
 
 def test_config_cannot_name_another_config(tmp_path, capsys):

@@ -354,6 +354,17 @@ def test_sweep_factor_orders_pd_exactly_under_pairing():
         assert pds[0] >= pds[1] >= pds[2] >= pds[3]
 
 
+def test_factor_scales_the_plans_nominal_noise_power():
+    # A factor once replaced sigma_nominal2, so factor 1 ignored the plan's
+    # nominal and a sweep-factor run ignored --nominal.
+    plan = _static_plan(n_trials=300)
+    grid = [-4.0, 0.0]
+    doubled = sweep_threshold_factor(replace(plan, sigma_nominal2=2.0), [1.0], grid)
+    assert doubled[1.0] == sweep_threshold_factor(plan, [2.0], grid)[2.0]
+    assert doubled[1.0] == sweep_snr(replace(plan, sigma_nominal2=2.0), grid,
+                                     modes=(ThresholdMode.STATIC,))[ThresholdMode.STATIC]
+
+
 def test_sweep_snr_rejects_an_snr_whose_signal_power_overflows():
     plan = _static_plan(n_trials=10)
     with pytest.raises(ValueError, match="4000.0 dB"):
