@@ -32,3 +32,22 @@ for mode in static dynamic; do
     --out smoke_$mode > /dev/null
   cmp smoke_w2_$mode.csv smoke_${mode}_$mode.csv
 done
+# Usage errors: each one's arguments, stderr and exit code (2), which the
+# base-branch identity step compares.
+while read -ra args; do
+  echo "${args[*]}" >> usage-errors.txt
+  code=0
+  run "${args[@]}" < /dev/null 2>> usage-errors.txt > /dev/null || code=$?
+  echo "exit $code" >> usage-errors.txt
+done <<'LIST'
+sense --l 1
+sense --n 4 --l 8
+sense --m-grid 1
+sense --sigma-w2 0
+sense --seed -1
+sense --sps 0
+sense --pfa 1.5
+estimate-noise --n 8 --l 8
+sweep-snr --snr-max 4000
+sweep-snr --workers 0
+LIST

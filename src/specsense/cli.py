@@ -18,6 +18,7 @@ from typing import Sequence
 from .detector import ThresholdMode, Verdict
 from .harness import (
     FailureGuardError,
+    PlanError,
     TrialPlan,
     power_at_db,
     sense_once,
@@ -64,6 +65,10 @@ _OPTIONS: dict[str, tuple[object, object, str]] = {
     "pfa_grid": (str, "0.01,0.02,0.05,0.1,0.2,0.3,0.5",
                  "comma-separated target-Pfa grid for sweep-pfa"),
 }
+# TrialPlan field -> the flag that sets it, where the two names differ.
+_FLAGS = {"n_trials": "trials", "target_pfa": "pfa", "sigma_w2_true": "sigma-w2",
+          "sigma_nominal2": "nominal", "sigma_s2": "snr", "master_seed": "seed",
+          "m_grid": "m-grid", "mismatch_db": "mismatch-db", "samples_per_symbol": "sps"}
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
@@ -158,43 +163,17 @@ def _merge_options(args: argparse.Namespace) -> dict[str, object]:
     return merged
 
 
-def _validate(command: str, o: dict[str, object]) -> None:
-    for key, (kind, _, _) in _OPTIONS.items():
+def _validate(o: dict[str, object]) -> None:
+    """The checks :class:`TrialPlan` cannot make: it sees no dB value, grid or
+    pool, and only the plan's powers, not the options they came from."""
+    for key, (kind, _, _) in _OPTIONS.items():  # most reach a plan, if at all, in a product
         if kind is float and o[key] is not None and not math.isfinite(o[key]):
             raise UsageError(f"{key.replace('_', '-')}: must be finite (got {o[key]})")
-    if o["l"] < 2:
-        raise UsageError(f"l: must be at least 2 (got {o['l']})")
-    if o["n"] < o["l"]:
-        raise UsageError(f"n: must be at least l={o['l']} (got {o['n']})")
-    # Whether the command runs the blind noise estimator; sweeps without
-    # --mode run both modes, sense without it runs static.
-    estimates = {"sense": o["mode"] == "dynamic", "sweep-factor": False,
-                 "estimate-noise": True}.get(command, o["mode"] != "static")
-    if estimates and o["n"] <= o["l"]:
-        raise UsageError(
-            f"n: must exceed l={o['l']} for a noise estimate (got {o['n']})"
-        )
-    if not 0.0 < o["pfa"] < 1.0:
-        raise UsageError(
-            f"pfa: must be strictly between 0 and 1 (got {o['pfa']})"
-        )
-    if o["trials"] < 1:
+    if o["trials"] < 1:  # --quick would turn 0 into 100
         raise UsageError(f"trials: must be positive (got {o['trials']})")
-    if o["m_grid"] < 2:
-        raise UsageError(f"m-grid: must be at least 2 (got {o['m_grid']})")
-    if o["mismatch_db"] < 0.0:
-        raise UsageError(f"mismatch-db: must be non-negative (got {o['mismatch_db']})")
-    if o["sigma_w2"] <= 0.0:
-        raise UsageError(f"sigma-w2: must be positive (got {o['sigma_w2']})")
-    if not math.isfinite(power_at_db(o["sigma_w2"], o["mismatch_db"])):
-        raise UsageError(
-            f"mismatch-db: too large, the wandering noise power "
-            f"sigma-w2 * 10^(mismatch-db/10) is not finite (got {o['mismatch_db']})"
-        )
-    if o["nominal"] is not None and o["nominal"] <= 0.0:
-        raise UsageError(f"nominal: must be positive (got {o['nominal']})")
-    if o["factor"] is not None and o["factor"] <= 0.0:
-        raise UsageError(f"factor: must be positive (got {o['factor']})")
+    for key in ("nominal", "factor"):  # their product hides two negatives
+        if o[key] is not None and o[key] <= 0.0:
+            raise UsageError(f"{key}: must be positive (got {o[key]})")
     if o["snr_step"] <= 0.0:
         raise UsageError(f"snr-step: must be positive (got {o['snr_step']})")
     # No grid value has a wider float spacing than the end of larger
@@ -206,30 +185,18 @@ def _validate(command: str, o: dict[str, object]) -> None:
             f"to snr-max={o['snr_max']} (got {o['snr_step']})"
         )
     if o["snr_max"] < o["snr_min"]:
-        raise UsageError(
-            f"snr-max: must be at least snr-min={o['snr_min']} (got {o['snr_max']})"
-        )
-    for key in ("snr", "snr_min", "snr_max"):
+        raise UsageError(f"snr-max: must be at least snr-min={o['snr_min']} (got {o['snr_max']})")
+    for key in ("snr", "snr_min", "snr_max"):  # a plan sees the power, not the dB value
         if not math.isfinite(power_at_db(o["sigma_w2"], o[key])):
             raise UsageError(
                 f"{key.replace('_', '-')}: too large, the signal power "
                 f"sigma-w2 * 10^(snr/10) is not finite (got {o[key]})"
             )
-    if o["seed"] < 0:
-        raise UsageError(f"seed: must be non-negative (got {o['seed']})")
-    if o["sps"] is not None and o["sps"] < 1:
-        raise UsageError(f"sps: must be at least 1 (got {o['sps']})")
     if o["workers"] < 1:
         raise UsageError(f"workers: must be at least 1 (got {o['workers']})")
-    for raw in str(o["pfa_grid"]).split(","):
-        try:
-            v = float(raw)
-        except ValueError:
-            raise UsageError(f"pfa-grid: {raw.strip()!r} is not a number") from None
+    for v in _pfa_grid(o):  # a plan would name --pfa, not --pfa-grid
         if not 0.0 < v < 1.0:
-            raise UsageError(
-                f"pfa-grid: entries must be strictly between 0 and 1 (got {v})"
-            )
+            raise UsageError(f"pfa-grid: entries must be strictly between 0 and 1 (got {v})")
 
 
 def _build_plan(o: dict[str, object]) -> TrialPlan:
@@ -296,6 +263,16 @@ def _snr_grid(o: dict[str, object]) -> list[float]:
     return grid
 
 
+def _pfa_grid(o: dict[str, object]) -> list[float]:
+    grid = []
+    for raw in str(o["pfa_grid"]).split(","):
+        try:
+            grid.append(float(raw))
+        except ValueError:
+            raise UsageError(f"pfa-grid: {raw.strip()!r} is not a number") from None
+    return grid
+
+
 def _cmd_sweep(command: str, o: dict[str, object]) -> int:
     """sweep-snr, sweep-pfa or sweep-factor: one CSV per curve, then the chart."""
     workers = int(o["workers"])
@@ -311,7 +288,7 @@ def _cmd_sweep(command: str, o: dict[str, object]) -> int:
             if command == "sweep-snr":
                 sweep, grid = sweep_snr, _snr_grid(o)
             else:
-                sweep, grid = sweep_pfa, [float(v) for v in str(o["pfa_grid"]).split(",")]
+                sweep, grid = sweep_pfa, _pfa_grid(o)
             modes = tuple(ThresholdMode) if o["mode"] is None else (ThresholdMode(o["mode"]),)
             curves = sweep(_build_plan(o), grid, modes=modes, workers=workers)
     except FailureGuardError as exc:  # write the completed rows, then fail
@@ -363,12 +340,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         options = _merge_options(args)
-        _validate(args.command, options)
+        _validate(options)
     except UsageError as exc:
         print(f"specsense: error: {exc}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command][1](args.command, options)
+    # Every handler, and every sweep it calls, builds all its plans before
+    # it writes any output, so a plan error leaves no file behind.
+    except PlanError as exc:
+        print(f"specsense: error: {_FLAGS.get(exc.field, exc.field)}: {exc.message}",
+              file=sys.stderr)
+        return 2
     except (RuntimeError, OSError, ValueError) as exc:  # EstimationFailure included
         print(f"specsense: failure: {exc}", file=sys.stderr)
         return 1

@@ -60,6 +60,7 @@ from .signal_model import (
 
 __all__ = [
     "FailureGuardError",
+    "PlanError",
     "PointResult",
     "SweepResult",
     "TrialPlan",
@@ -91,6 +92,15 @@ _ROLE_NOISE = 1
 _ROLE_MISMATCH = 2
 
 
+class PlanError(ValueError):
+    """A :class:`TrialPlan` field breaks a plan rule; the text is
+    ``"<field>: <message>"``."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(f"{field}: {message}")
+        self.field, self.message = field, message
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     """Everything one Monte Carlo point needs to be reproducible.
@@ -115,7 +125,8 @@ class TrialPlan:
             which keeps each snapshot inside one symbol (rank-1 signal).
 
     A trial runs both hypotheses on paired streams; the one a single
-    decision senses is an argument of :func:`sense_once`.
+    decision senses is an argument of :func:`sense_once`.  A field that
+    breaks a rule raises :class:`PlanError` naming that field.
     """
 
     n_trials: int
@@ -132,33 +143,29 @@ class TrialPlan:
     samples_per_symbol: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be positive")
-        if self.l < 2 or self.n < self.l:
-            raise ValueError("need l >= 2 and n >= l")
-        if self.mode is ThresholdMode.DYNAMIC and self.n <= self.l:
-            raise ValueError("dynamic mode needs n > l: the noise estimate needs "
-                             "more snapshots than rows")
-        if not 0.0 < self.target_pfa < 1.0:
-            raise ValueError("target_pfa must lie strictly between 0 and 1")
-        floats = (self.sigma_w2_true, self.sigma_nominal2, self.sigma_s2, self.mismatch_db)
-        if not all(math.isfinite(value) for value in floats):
-            raise ValueError("noise powers, sigma_s2 and mismatch_db must be finite")
-        if self.sigma_w2_true <= 0.0 or self.sigma_nominal2 <= 0.0:
-            raise ValueError("noise powers must be positive")
-        if self.sigma_s2 < 0.0:
-            raise ValueError("sigma_s2 must be non-negative")
-        if self.m_grid < 2:
-            raise ValueError("m_grid must be at least 2")
-        if self.mismatch_db < 0.0:
-            raise ValueError("mismatch_db must be non-negative")
-        if not math.isfinite(power_at_db(self.sigma_w2_true, self.mismatch_db)):
-            raise ValueError("mismatch_db too large: the noise power it can wander to, "
-                             "sigma_w2_true * 10^(mismatch_db/10), is not finite")
-        if self.samples_per_symbol is not None and self.samples_per_symbol < 1:
-            raise ValueError("samples_per_symbol must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
+        def check(field: str, ok: bool, message: str) -> None:
+            if not ok:
+                raise PlanError(field, f"{message} (got {getattr(self, field)})")
+
+        check("n_trials", self.n_trials >= 1, "must be positive")
+        check("l", self.l >= 2, "must be at least 2")
+        check("n", self.n >= self.l, f"must be at least l={self.l}")
+        check("n", self.mode is not ThresholdMode.DYNAMIC or self.n > self.l,
+              f"must exceed l={self.l} for a noise estimate")
+        check("target_pfa", 0.0 < self.target_pfa < 1.0, "must be strictly between 0 and 1")
+        for field in ("sigma_w2_true", "sigma_nominal2", "sigma_s2", "mismatch_db"):
+            check(field, math.isfinite(getattr(self, field)), "must be finite")
+        check("sigma_w2_true", self.sigma_w2_true > 0.0, "must be positive")
+        check("sigma_nominal2", self.sigma_nominal2 > 0.0, "must be positive")
+        check("sigma_s2", self.sigma_s2 >= 0.0, "must be non-negative")
+        check("master_seed", self.master_seed >= 0, "must be non-negative")
+        check("m_grid", self.m_grid >= 2, "must be at least 2")
+        check("mismatch_db", self.mismatch_db >= 0.0, "must be non-negative")
+        check("mismatch_db", math.isfinite(power_at_db(self.sigma_w2_true, self.mismatch_db)),
+              "too large, the noise power it can wander to is not finite")
+        check("samples_per_symbol",
+              self.samples_per_symbol is None or self.samples_per_symbol >= 1,
+              "must be at least 1")
 
     @property
     def sps(self) -> int:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.stats import chi2, ncx2, norm
 
 
 def charpoly_eigs(matrix: np.ndarray) -> np.ndarray:
@@ -165,6 +166,27 @@ def reference_pair(plan, trial: int) -> tuple[np.ndarray, np.ndarray, float]:
     points = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])  # the package's fixed order
     x = np.repeat(math.sqrt(plan.sigma_s2 / 2.0) * points[idx], sps)[:n_samples]
     return x + noise, noise, sigma_true
+
+
+def theory_static(plan) -> tuple[float, float]:
+    """Exact (Pd, Pfa) of a static-mode plan, over its noise-power wander.
+
+    The statistic is twice the energy of a window's real parts.  Over a
+    noise power sigma it is chi-square with ``n`` degrees of freedom under
+    H0, and, since a QPSK real part has the constant magnitude
+    ``sqrt(sigma_s2 / 2)``, noncentral chi-square with noncentrality
+    ``n * sigma_s2 / sigma`` under H1.  The wander is uniform in dB over
+    +-``mismatch_db``; a 64-node Gauss-Legendre sum averages over it.  The
+    threshold is the Gaussian-approximation one, from scipy's normal
+    quantile.
+    """
+    n = plan.n
+    threshold = plan.sigma_nominal2 * (norm.isf(plan.target_pfa) * math.sqrt(2.0 * n) + n)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    sigma = plan.sigma_w2_true * 10.0 ** (plan.mismatch_db * nodes / 10.0)
+    pd = ncx2.sf(threshold / sigma, n, n * plan.sigma_s2 / sigma)
+    pfa = chi2.sf(threshold / sigma, n)
+    return float(weights @ pd) / 2.0, float(weights @ pfa) / 2.0
 
 
 def mp_cdf_unit_broadcast(z: np.ndarray, p: float) -> np.ndarray:

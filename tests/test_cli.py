@@ -328,10 +328,13 @@ def test_every_option_resolves_alike_from_flag_and_config(command, tmp_path):
      (["sense", "--seed", "-1"], "seed: must be non-negative"),
      (["sense", "--sps", "0"], "sps: must be at least 1"),
      (["sweep-snr", "--workers", "0"], "workers: must be at least 1"),
+     (["sense", "--nominal", "1e308", "--factor", "10"], "nominal: must be finite (got inf)"),
+     (["sweep-factor", "--quick", "--nominal", "1e308"], "nominal: must be finite (got inf)"),
      ("mode = sideways", "mode: must be one of static, dynamic, got ' sideways'"),
      ("n = abc", "n: expected an integer, got ' abc'")],
     ids=["l", "n-below-l", "trials", "m-grid", "mismatch-db", "sigma-w2", "nominal", "factor",
-         "snr-step", "snr-max", "seed", "sps", "workers", "config-mode", "config-n"],
+         "snr-step", "snr-max", "seed", "sps", "workers", "nominal-times-factor",
+         "factor-ladder", "config-mode", "config-n"],
 )
 def test_every_usage_error_exits_two_and_names_its_flag(argv, message, tmp_path, capsys):
     if isinstance(argv, str):  # a config-file line
@@ -341,6 +344,34 @@ def test_every_usage_error_exits_two_and_names_its_flag(argv, message, tmp_path,
     assert main(argv + ["--out", str(tmp_path / "never")]) == 2
     assert f"specsense: error: {message}" in capsys.readouterr().err
     assert list(tmp_path.glob("never*")) == []
+
+
+# One plan that breaks each TrialPlan rule, and the field the rule is on.
+_PLAN_RULES = [
+    ("n_trials", {"n_trials": 0}), ("l", {"l": 1}), ("n", {"n": 4}),
+    ("n", {"n": 8, "mode": ThresholdMode.DYNAMIC}), ("target_pfa", {"target_pfa": 1.0}),
+    ("sigma_w2_true", {"sigma_w2_true": np.inf}), ("sigma_w2_true", {"sigma_w2_true": 0.0}),
+    ("sigma_nominal2", {"sigma_nominal2": np.nan}), ("sigma_nominal2", {"sigma_nominal2": -1.0}),
+    ("sigma_s2", {"sigma_s2": np.inf}), ("sigma_s2", {"sigma_s2": -1.0}),
+    ("master_seed", {"master_seed": -1}), ("m_grid", {"m_grid": 1}),
+    ("mismatch_db", {"mismatch_db": np.nan}), ("mismatch_db", {"mismatch_db": -1.0}),
+    ("mismatch_db", {"mismatch_db": 4000.0}), ("samples_per_symbol", {"samples_per_symbol": 0}),
+]
+
+
+@pytest.mark.parametrize(("field", "broken"), _PLAN_RULES,
+                         ids=[f"{field}-{i}" for i, (field, _) in enumerate(_PLAN_RULES)])
+def test_every_plan_rule_names_a_field_that_has_a_flag(field, broken):
+    # main reports a PlanError under _FLAGS.get(field, field); a field with
+    # no option behind it would name a flag the user cannot set.
+    with pytest.raises(harness.PlanError) as caught:
+        TrialPlan(**{"n_trials": 10, "n": 128, "l": 8, "mode": ThresholdMode.STATIC, **broken})
+    assert caught.value.field == field
+    assert str(caught.value) == f"{field}: {caught.value.message}"
+    assert cli._FLAGS.get(field, field).replace("-", "_") in cli._OPTIONS
+    unflagged = [f for f in TrialPlan.__dataclass_fields__
+                 if cli._FLAGS.get(f, f).replace("-", "_") not in cli._OPTIONS]
+    assert unflagged == []
 
 
 def test_config_cannot_name_another_config(tmp_path, capsys):

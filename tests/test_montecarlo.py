@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 
-from oracles import reference_pair
+from oracles import reference_pair, theory_static
 import specsense
 import specsense.harness as harness
+from specsense import cli
 from specsense.detector import (
     ThresholdMode,
     Verdict,
@@ -28,6 +30,7 @@ from specsense.harness import (
     PointResult,
     SweepResult,
     TrialPlan,
+    power_at_db,
     run_point,
     sweep_pfa,
     sweep_snr,
@@ -63,7 +66,7 @@ def test_trial_plan_validation():
         _static_plan(l=1)
     with pytest.raises(ValueError):
         _static_plan(n=4, l=8)
-    with pytest.raises(ValueError, match="n > l"):
+    with pytest.raises(ValueError, match="n: must exceed l=8"):
         _static_plan(n=8, l=8, mode=ThresholdMode.DYNAMIC)
     _static_plan(n=8, l=8)
     with pytest.raises(ValueError):
@@ -75,7 +78,7 @@ def test_trial_plan_validation():
     # A wander to a power that is not finite: an OverflowError from
     # 10 ** (offset / 10) in synthesis, or noise rows of infinite power.
     for sigma_w2_true, mismatch_db in ((1.0, 4000.0), (1e307, 20.0)):
-        with pytest.raises(ValueError, match="mismatch_db too large"):
+        with pytest.raises(ValueError, match="mismatch_db: too large"):
             _static_plan(sigma_w2_true=sigma_w2_true, mismatch_db=mismatch_db)
     _static_plan(mismatch_db=3000.0)
     with pytest.raises(ValueError, match="master_seed"):
@@ -371,6 +374,45 @@ def test_sweep_snr_rejects_an_snr_whose_signal_power_overflows():
         sweep_snr(plan, [0.0, 4000.0])
     with pytest.raises(ValueError, match="not finite"):
         sweep_snr(replace(plan, sigma_w2_true=1e307), [20.0], modes=(ThresholdMode.STATIC,))
+
+
+def _quick_static_points() -> list[tuple[TrialPlan, PointResult]]:
+    """Each static point of the default ``--quick`` sweep-snr, sweep-pfa and
+    sweep-factor, with the plan it ran, from the plan the CLI builds."""
+    o = cli._merge_options(cli._build_parser().parse_args(["sweep-snr", "--quick"]))
+    plan, snrs = cli._build_plan(o), cli._snr_grid(o)
+    static = ThresholdMode.STATIC
+
+    def at(snr, **fields):
+        return replace(plan, mode=static, sigma_s2=power_at_db(plan.sigma_w2_true, snr), **fields)
+
+    pairs = list(zip([at(snr) for snr in snrs],
+                     sweep_snr(plan, snrs, modes=(static,))[static].points))
+    pfas = cli._pfa_grid(o)
+    pairs += zip([replace(plan, mode=static, target_pfa=pfa) for pfa in pfas],
+                 sweep_pfa(plan, pfas, modes=(static,))[static].points)
+    for factor, curve in sweep_threshold_factor(plan, cli._FACTOR_LADDER, snrs).items():
+        pairs += zip([at(snr, sigma_nominal2=plan.sigma_nominal2 * factor) for snr in snrs],
+                     curve.points)
+    return pairs
+
+
+def test_quick_sweeps_static_points_match_exact_theory():
+    # Every static rate is an exact chi-square tail averaged over the noise
+    # wander, so each count must pass a two-sided binomial test against it.
+    # Bonferroni over the Pd and Pfa of all 62 points, fixed before the run.
+    alpha = 0.01 / 124
+    pairs = _quick_static_points()
+    assert len(pairs) == 62 and all(point.n_effective == 1000 for _, point in pairs)
+    misses = []
+    for plan, point in pairs:
+        pd, pfa = theory_static(plan)
+        for name, rate, theory in (("pd", point.pd, pd), ("pfa", point.pfa, pfa)):
+            count = round(rate * point.n_effective)
+            p_value = binomtest(count, point.n_effective, theory).pvalue
+            if p_value < alpha:
+                misses.append((plan, name, count, theory, p_value))
+    assert misses == []
 
 
 def test_sweep_derives_each_chunks_states_once(monkeypatch):
