@@ -16,6 +16,21 @@ run estimate-noise > estimate-noise.txt
 run estimate-noise --hypothesis h1 --snr 3 > estimate-noise-h1.txt
 run estimate-noise --l 16 --n 256 --m-grid 200 > estimate-noise-l16.txt
 run sweep-pfa --quick --out smoke_pfa > /dev/null
+# One config file serves three commands: each reads its own keys and drops
+# the rest.
+cat > shared.cfg <<'CFG'
+seed = 5
+mismatch-db = 0
+trials = 400
+workers = 2
+plot = yes
+snr-min = -4
+pfa-grid = 0.1,0.2
+hypothesis = h0
+CFG
+run sense --mode dynamic --config shared.cfg > shared-sense.txt
+run estimate-noise --config shared.cfg > shared-estimate-noise.txt
+run sweep-pfa --quick --config shared.cfg --out shared_pfa > /dev/null
 # The factor sweep puts many plans on each chunk across the pool.
 for w in 1 2; do
   run sweep-snr --quick --trials 1000 --snr-min 0 --snr-max 0 --workers $w --out smoke_w$w

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .detector import ThresholdMode, Verdict
@@ -36,8 +35,9 @@ _FACTOR_LADDER = (1.0, 1.5, 2.0, 2.5)
 _ENV_SEED = "SPECSENSE_SEED"
 
 # Every option: key -> (type, or the tuple of its choices; default; help).
-# The flag is ``--`` plus the key with ``-`` for ``_``, and a config file
-# may set every key but ``config``.  A default of None is resolved by the
+# The flag is ``--`` plus the key with ``-`` for ``_``, and only the
+# commands that read an option take its flag (``_COMMANDS``).  A config file
+# may name every key but ``config``.  A default of None is resolved by the
 # command that reads the option.
 _OPTIONS: dict[str, tuple[object, object, str]] = {
     "n": (int, 128, "detector window length"),
@@ -49,12 +49,12 @@ _OPTIONS: dict[str, tuple[object, object, str]] = {
     "snr_step": (float, 2.0, "sweep grid step (dB)"),
     "trials": (int, 10000, "Monte Carlo trials per point"),
     "mode": (("static", "dynamic"), None, "threshold mode (sweeps default to both)"),
-    "factor": (float, None, "static threshold scale factor"),
+    "factor": (float, None, "one static threshold scale factor instead of the ladder"),
     "mismatch_db": (float, 3.0, "half-width of per-trial noise wander (dB)"),
     "m_grid": (int, 100, "noise-estimator search grid size"),
     "seed": (int, 42, "master seed"),
     "out": (str, None, "output path stem or file"),
-    "plot": (bool, False, "also write an SVG chart (sweeps only)"),
+    "plot": (bool, False, "also write an SVG chart"),
     "config": (str, None, "flat key = value config file"),
     "quick": (bool, False, "reduce trials tenfold for a fast pass"),
     "sigma_w2": (float, 1.0, "true noise power (total complex variance)"),
@@ -125,9 +125,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (help_line, _, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        for key, (kind, _, help_text) in _OPTIONS.items():
+    for name, (help_line, _, _, reads) in _COMMANDS.items():
+        # No abbreviations: sweep-pfa would take --pfa, which it does not read, as --pfa-grid.
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
+        for key in reads:
+            kind, _, help_text = _OPTIONS[key]
             if kind is bool:
                 spec = {"action": argparse.BooleanOptionalAction}
             elif isinstance(kind, tuple):
@@ -149,60 +151,46 @@ def _env_seed() -> int | None:
 
 
 def _merge_options(args: argparse.Namespace) -> dict[str, object]:
-    """Every option's value, from flag, config file, environment or default."""
+    """Every option's value, from flag, config file, environment or default.  An
+    option the command does not read keeps its default, even if the config sets it."""
+    reads = _COMMANDS[args.command][3]
     merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
     env_seed = _env_seed()
     if env_seed is not None:
         merged["seed"] = env_seed
     if args.config is not None:
-        merged.update(_read_config_file(args.config))
-    for key in _OPTIONS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+        merged.update((key, value) for key, value in _read_config_file(args.config).items()
+                      if key in reads)
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in reads and value is not None)
     return merged
 
 
 def _validate(o: dict[str, object]) -> None:
-    """The checks :class:`TrialPlan` cannot make: it sees no dB value, grid or
-    pool, and only the plan's powers, not the options they came from."""
+    """The checks :class:`TrialPlan` cannot make: it sees no pool, and only
+    the plan's powers, not the options they came from."""
     for key, (kind, _, _) in _OPTIONS.items():  # most reach a plan, if at all, in a product
         if kind is float and o[key] is not None and not math.isfinite(o[key]):
             raise UsageError(f"{key.replace('_', '-')}: must be finite (got {o[key]})")
     if o["trials"] < 1:  # --quick would turn 0 into 100
         raise UsageError(f"trials: must be positive (got {o['trials']})")
-    for key in ("nominal", "factor"):  # their product hides two negatives
-        if o[key] is not None and o[key] <= 0.0:
-            raise UsageError(f"{key}: must be positive (got {o[key]})")
-    if o["snr_step"] <= 0.0:
-        raise UsageError(f"snr-step: must be positive (got {o['snr_step']})")
-    # No grid value has a wider float spacing than the end of larger
-    # magnitude, so a step above half that spacing moves every value on.  A
-    # smaller step can leave a value where it is, and the grid never ends.
-    if o["snr_step"] <= math.ulp(max(abs(o["snr_min"]), abs(o["snr_max"]))) / 2.0:
-        raise UsageError(
-            f"snr-step: too small to advance the grid from snr-min={o['snr_min']} "
-            f"to snr-max={o['snr_max']} (got {o['snr_step']})"
-        )
-    if o["snr_max"] < o["snr_min"]:
-        raise UsageError(f"snr-max: must be at least snr-min={o['snr_min']} (got {o['snr_max']})")
-    for key in ("snr", "snr_min", "snr_max"):  # a plan sees the power, not the dB value
-        if not math.isfinite(power_at_db(o["sigma_w2"], o[key])):
-            raise UsageError(
-                f"{key.replace('_', '-')}: too large, the signal power "
-                f"sigma-w2 * 10^(snr/10) is not finite (got {o[key]})"
-            )
+    if o["factor"] is not None and o["factor"] <= 0.0:  # the nominal times it hides two negatives
+        raise UsageError(f"factor: must be positive (got {o['factor']})")
     if o["workers"] < 1:
         raise UsageError(f"workers: must be at least 1 (got {o['workers']})")
-    for v in _pfa_grid(o):  # a plan would name --pfa, not --pfa-grid
-        if not 0.0 < v < 1.0:
-            raise UsageError(f"pfa-grid: entries must be strictly between 0 and 1 (got {v})")
+
+
+def _signal_power(o: dict[str, object], key: str) -> float:
+    """The signal power at option ``key``'s SNR; a plan sees the power, not the dB value."""
+    power = power_at_db(float(o["sigma_w2"]), float(o[key]))
+    if not math.isfinite(power):
+        raise UsageError(f"{key.replace('_', '-')}: too large, the signal power "
+                         f"sigma-w2 * 10^(snr/10) is not finite (got {o[key]})")
+    return power
 
 
 def _build_plan(o: dict[str, object]) -> TrialPlan:
     sigma_w2 = float(o["sigma_w2"])
-    nominal = sigma_w2 if o["nominal"] is None else float(o["nominal"])
-    factor = 1.0 if o["factor"] is None else float(o["factor"])
     return TrialPlan(
         n_trials=max(100, int(o["trials"]) // 10) if o["quick"] else int(o["trials"]),
         n=int(o["n"]),
@@ -210,8 +198,8 @@ def _build_plan(o: dict[str, object]) -> TrialPlan:
         target_pfa=float(o["pfa"]),
         mode=ThresholdMode.DYNAMIC if o["mode"] == "dynamic" else ThresholdMode.STATIC,
         sigma_w2_true=sigma_w2,
-        sigma_nominal2=nominal * factor,
-        sigma_s2=power_at_db(sigma_w2, float(o["snr"])),
+        sigma_nominal2=sigma_w2 if o["nominal"] is None else float(o["nominal"]),
+        sigma_s2=_signal_power(o, "snr"),
         master_seed=int(o["seed"]),
         m_grid=int(o["m_grid"]),
         mismatch_db=float(o["mismatch_db"]),
@@ -237,8 +225,8 @@ def _cmd_sense(command: str, o: dict[str, object]) -> int:
 
 
 def _cmd_estimate_noise(command: str, o: dict[str, object]) -> int:
-    plan = replace(_build_plan(o), mode=ThresholdMode.DYNAMIC)
-    _, estimate = sense_once(plan, Hypothesis(o["hypothesis"] or "h0"))
+    _, estimate = sense_once(_build_plan({**o, "mode": "dynamic"}),
+                             Hypothesis(o["hypothesis"] or "h0"))
     _emit("sigma_hat2", estimate.sigma_hat2)
     _emit("k_hat", estimate.k_hat)
     _emit("beta_hat", estimate.beta_hat)
@@ -253,10 +241,20 @@ def _cmd_estimate_noise(command: str, o: dict[str, object]) -> int:
 
 
 def _snr_grid(o: dict[str, object]) -> list[float]:
-    grid = []
-    value = float(o["snr_min"])
-    stop = float(o["snr_max"])
-    step = float(o["snr_step"])
+    start, stop, step = float(o["snr_min"]), float(o["snr_max"]), float(o["snr_step"])
+    if step <= 0.0:
+        raise UsageError(f"snr-step: must be positive (got {o['snr_step']})")
+    # No grid value has a wider float spacing than the end of larger
+    # magnitude, so a step above half that spacing moves every value on.  A
+    # smaller step can leave a value where it is, and the grid never ends.
+    if step <= math.ulp(max(abs(start), abs(stop))) / 2.0:
+        raise UsageError(f"snr-step: too small to advance the grid from snr-min={o['snr_min']} "
+                         f"to snr-max={o['snr_max']} (got {o['snr_step']})")
+    if stop < start:
+        raise UsageError(f"snr-max: must be at least snr-min={o['snr_min']} (got {o['snr_max']})")
+    for key in ("snr_min", "snr_max"):
+        _signal_power(o, key)
+    grid, value = [], start
     while value <= stop + 1e-9:
         grid.append(round(value, 12))
         value += step
@@ -270,27 +268,26 @@ def _pfa_grid(o: dict[str, object]) -> list[float]:
             grid.append(float(raw))
         except ValueError:
             raise UsageError(f"pfa-grid: {raw.strip()!r} is not a number") from None
+    for value in grid:  # a plan would name --pfa, not --pfa-grid
+        if not 0.0 < value < 1.0:
+            raise UsageError(f"pfa-grid: entries must be strictly between 0 and 1 (got {value})")
     return grid
 
 
 def _cmd_sweep(command: str, o: dict[str, object]) -> int:
     """sweep-snr, sweep-pfa or sweep-factor: one CSV per curve, then the chart."""
     workers = int(o["workers"])
+    grid = _pfa_grid(o) if command == "sweep-pfa" else _snr_grid(o)
+    plan = _build_plan(o)
     failure = None
     try:
-        if command == "sweep-factor":
-            # Each factor scales the plan's nominal noise power, as --factor
-            # does for the other commands.
+        if command == "sweep-factor":  # each factor scales the plan's nominal noise power
             factors = _FACTOR_LADDER if o["factor"] is None else (float(o["factor"]),)
-            curves = sweep_threshold_factor(_build_plan({**o, "factor": None}), factors,
-                                            _snr_grid(o), workers=workers)
+            curves = sweep_threshold_factor(plan, factors, grid, workers=workers)
         else:
-            if command == "sweep-snr":
-                sweep, grid = sweep_snr, _snr_grid(o)
-            else:
-                sweep, grid = sweep_pfa, _pfa_grid(o)
+            sweep = sweep_snr if command == "sweep-snr" else sweep_pfa
             modes = tuple(ThresholdMode) if o["mode"] is None else (ThresholdMode(o["mode"]),)
-            curves = sweep(_build_plan(o), grid, modes=modes, workers=workers)
+            curves = sweep(plan, grid, modes=modes, workers=workers)
     except FailureGuardError as exc:  # write the completed rows, then fail
         curves, failure = exc.curves, exc
     named = {key.value if isinstance(key, ThresholdMode) else f"factor_{key:g}": result
@@ -317,17 +314,24 @@ def _cmd_sweep(command: str, o: dict[str, object]) -> int:
     return 0
 
 
-# command -> (help line, handler, (chart title, x-axis label) of a sweep)
+_SHARED = ("config", "seed", "n", "l", "sigma_w2", "mismatch_db", "sps")  # every command's
+_SWEEPS = ("trials", "quick", "workers", "out", "plot", "nominal")  # every sweep's
+
+# command -> (help line, handler, (chart title, x-axis label) of a sweep,
+# the options it reads, which are the flags it takes)
 _COMMANDS = {
-    "sense": ("run one sensing decision on a single synthesized frame", _cmd_sense, None),
-    "sweep-snr": ("Monte Carlo Pd/Pfa versus SNR", _cmd_sweep,
-                  ("Detection vs SNR", "SNR (dB)")),
+    "sense": ("run one sensing decision on a single synthesized frame", _cmd_sense, None,
+              _SHARED + ("snr", "pfa", "mode", "nominal", "m_grid", "hypothesis")),
+    "sweep-snr": ("Monte Carlo Pd/Pfa versus SNR", _cmd_sweep, ("Detection vs SNR", "SNR (dB)"),
+                  _SHARED + _SWEEPS + ("pfa", "mode", "m_grid", "snr_min", "snr_max", "snr_step")),
     "sweep-pfa": ("Monte Carlo Pd/Pfa versus the target false-alarm rate", _cmd_sweep,
-                  ("Detection vs target Pfa", "target Pfa")),
+                  ("Detection vs target Pfa", "target Pfa"),
+                  _SHARED + _SWEEPS + ("snr", "mode", "m_grid", "pfa_grid")),
     "sweep-factor": ("static-threshold scale-factor study versus SNR", _cmd_sweep,
-                     ("Static threshold factor study", "SNR (dB)")),
+                     ("Static threshold factor study", "SNR (dB)"),
+                     _SHARED + _SWEEPS + ("pfa", "factor", "snr_min", "snr_max", "snr_step")),
     "estimate-noise": ("blind noise-power estimate of one synthesized frame",
-                       _cmd_estimate_noise, None),
+                       _cmd_estimate_noise, None, _SHARED + ("snr", "m_grid", "hypothesis")),
 }
 
 
@@ -341,13 +345,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         options = _merge_options(args)
         _validate(options)
+        return _COMMANDS[args.command][1](args.command, options)
+    # Every handler, and every sweep it calls, builds all its grids and plans
+    # before it writes any output, so a usage or plan error leaves no file.
     except UsageError as exc:
         print(f"specsense: error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[args.command][1](args.command, options)
-    # Every handler, and every sweep it calls, builds all its plans before
-    # it writes any output, so a plan error leaves no file behind.
     except PlanError as exc:
         print(f"specsense: error: {_FLAGS.get(exc.field, exc.field)}: {exc.message}",
               file=sys.stderr)

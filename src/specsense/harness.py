@@ -115,7 +115,8 @@ class TrialPlan:
         mode: STATIC (threshold from sigma_nominal2, fixed) or DYNAMIC
             (threshold from the per-trial blind noise estimate).
         sigma_w2_true: true noise power before any per-trial mismatch.
-        sigma_nominal2: noise power the static threshold assumes.
+        sigma_nominal2: noise power the static threshold assumes; in STATIC
+            mode the threshold it sets must be finite.
         sigma_s2: primary-user transmit power under H1 (0 disables it).
         master_seed: root of all per-trial substreams.
         m_grid: grid resolution of the blind noise estimator.
@@ -157,6 +158,9 @@ class TrialPlan:
             check(field, math.isfinite(getattr(self, field)), "must be finite")
         check("sigma_w2_true", self.sigma_w2_true > 0.0, "must be positive")
         check("sigma_nominal2", self.sigma_nominal2 > 0.0, "must be positive")
+        check("sigma_nominal2", self.mode is not ThresholdMode.STATIC or math.isfinite(
+            static_threshold(self.sigma_nominal2, self.target_pfa, self.n)),
+            "too large, the static threshold it sets is not finite")
         check("sigma_s2", self.sigma_s2 >= 0.0, "must be non-negative")
         check("master_seed", self.master_seed >= 0, "must be non-negative")
         check("m_grid", self.m_grid >= 2, "must be at least 2")
@@ -400,15 +404,17 @@ def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
     reduced; then the first plan, in plan order, that trips the failure
     guard raises :class:`FailureGuardError`.
     """
-    # The key is the plan with its mode set aside (as STATIC); the value, the
-    # indices of the plans it stands for.
-    groups: dict[TrialPlan, list[int]] = {}
+    # The key is every field of the plan but its mode (a plan of the other
+    # mode might break that mode's rules); the value, the indices of the
+    # plans it stands for.
+    groups: dict[tuple, list[int]] = {}
     for index, plan in enumerate(plans):
-        groups.setdefault(replace(plan, mode=ThresholdMode.STATIC), []).append(index)
+        key = tuple(getattr(plan, f) for f in TrialPlan.__dataclass_fields__ if f != "mode")
+        groups.setdefault(key, []).append(index)
     units = [  # (indices of the group's plans, first trial of the chunk)
         (members, start)
         for start in range(0, max((plan.n_trials for plan in plans), default=0), _CHUNK)
-        for key, members in groups.items() if start < key.n_trials
+        for members in groups.values() if start < plans[members[0]].n_trials
     ]
     workers = min(workers, len(units))
     pool = None

@@ -41,7 +41,6 @@ __all__ = [
     "eigenvalues_hermitian",
     "estimate_noise",
     "estimate_noise_batch",
-    "goodness_of_fit",
     "mdl_signal_count",
     "mp_cdf",
     "sample_covariance",
@@ -292,18 +291,6 @@ def _plotting_positions(eigs: np.ndarray) -> np.ndarray:
     """
     ranks = np.sum(eigs[:, None, :] <= eigs[:, :, None], axis=2)
     return (ranks - 0.5) / eigs.shape[1]
-
-
-def goodness_of_fit(noise_eigs: np.ndarray, p_eff: float, sigma2: float) -> float:
-    """Euclidean distance between the empirical distribution of the noise
-    eigenvalues (midpoint plotting positions) and the Marchenko-Pastur CDF
-    with variance ``sigma2``."""
-    if np.size(noise_eigs) == 0:
-        raise ValueError("need at least one noise eigenvalue")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    eigs = np.asarray(noise_eigs, dtype=np.float64).reshape(1, -1)
-    return float(_fit_scores(eigs, p_eff, np.array([[sigma2]]))[0, 0])
 
 
 def _fit_scores(noise_eigs: np.ndarray, p_eff: float, grid: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "derive_seed",
     "frame",
     "generate_qpsk",
-    "snr_db",
 ]
 
 # Gray-mapped QPSK constellation on the unit circle, scaled later by the
@@ -399,11 +398,3 @@ def frame(stream: np.ndarray, l: int, n: int) -> SampleFrame:
         raise ValueError(f"stream has {stream.size} samples, need {l * n}")
     data = stream[: l * n].reshape((n, l)).T.copy()
     return SampleFrame(data)
-
-
-def snr_db(sigma_s2: float, sigma_w2: float) -> float:
-    """Signal-to-noise ratio ``10*log10(sigma_s2 / sigma_w2)`` in dB."""
-    if sigma_s2 <= 0.0 or sigma_w2 <= 0.0:
-        raise ValueError("variances must be positive")
-    return 10.0 * math.log10(sigma_s2 / sigma_w2)
-

@@ -168,25 +168,47 @@ def reference_pair(plan, trial: int) -> tuple[np.ndarray, np.ndarray, float]:
     return x + noise, noise, sigma_true
 
 
-def theory_static(plan) -> tuple[float, float]:
-    """Exact (Pd, Pfa) of a static-mode plan, over its noise-power wander.
+def _rates_over_wander(plan, threshold) -> tuple[float, float]:
+    """(Pd, Pfa) against ``threshold(sigma)`` over the plan's noise-power wander.
 
     The statistic is twice the energy of a window's real parts.  Over a
     noise power sigma it is chi-square with ``n`` degrees of freedom under
     H0, and, since a QPSK real part has the constant magnitude
     ``sqrt(sigma_s2 / 2)``, noncentral chi-square with noncentrality
     ``n * sigma_s2 / sigma`` under H1.  The wander is uniform in dB over
-    +-``mismatch_db``; a 64-node Gauss-Legendre sum averages over it.  The
-    threshold is the Gaussian-approximation one, from scipy's normal
-    quantile.
+    +-``mismatch_db``; a 64-node Gauss-Legendre sum averages over it.
     """
     n = plan.n
-    threshold = plan.sigma_nominal2 * (norm.isf(plan.target_pfa) * math.sqrt(2.0 * n) + n)
     nodes, weights = np.polynomial.legendre.leggauss(64)
     sigma = plan.sigma_w2_true * 10.0 ** (plan.mismatch_db * nodes / 10.0)
-    pd = ncx2.sf(threshold / sigma, n, n * plan.sigma_s2 / sigma)
-    pfa = chi2.sf(threshold / sigma, n)
+    u = threshold(sigma) / sigma
+    pd = ncx2.sf(u, n, n * plan.sigma_s2 / sigma)
+    pfa = chi2.sf(u, n)
     return float(weights @ pd) / 2.0, float(weights @ pfa) / 2.0
+
+
+def _unit_threshold(plan) -> float:
+    """The Gaussian-approximation threshold at unit noise power, from scipy's
+    normal quantile: ``dynamic_threshold(1.0, target_pfa, n)``."""
+    return norm.isf(plan.target_pfa) * math.sqrt(2.0 * plan.n) + plan.n
+
+
+def theory_static(plan) -> tuple[float, float]:
+    """Exact (Pd, Pfa) of a static-mode plan, over its noise-power wander:
+    the threshold is ``sigma_nominal2`` times the unit threshold."""
+    threshold = plan.sigma_nominal2 * _unit_threshold(plan)
+    return _rates_over_wander(plan, lambda sigma: threshold)
+
+
+def theory_oracle(plan) -> tuple[float, float]:
+    """Exact (Pd, Pfa) of a receiver that knows each trial's noise power.
+
+    Its threshold is the true noise power times the unit threshold, which is
+    what the blind threshold aims at.  Its Pfa is ``chi2.sf(u, n)`` at every
+    wander, and its Pd the wander mean of ``ncx2.sf(u, n, n * sigma_s2 / sigma)``.
+    """
+    unit = _unit_threshold(plan)
+    return _rates_over_wander(plan, lambda sigma: sigma * unit)
 
 
 def mp_cdf_unit_broadcast(z: np.ndarray, p: float) -> np.ndarray:

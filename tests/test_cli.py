@@ -1,4 +1,5 @@
 """Tests of the command-line front end: parsing, precedence, exit codes."""
+import argparse
 import multiprocessing
 
 import numpy as np
@@ -292,9 +293,14 @@ def _sample(kind) -> tuple[str, object]:
     return {int: ("3", 3), float: ("0.25", 0.25), bool: ("yes", True), str: ("abc", "abc")}[kind]
 
 
+def _sweep_out(argv: list[str], tmp_path) -> list[str]:
+    """``--out`` into ``tmp_path`` for a sweep, the only commands that take it."""
+    return ["--out", str(tmp_path / "never")] if argv[0].startswith("sweep") else []
+
+
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_every_option_resolves_alike_from_flag_and_config(command, tmp_path):
-    keys = [key for key in cli._OPTIONS if key != "config"]
+    keys = [key for key in cli._COMMANDS[command][3] if key != "config"]
     argv, lines = [command], []
     for key in keys:
         kind = cli._OPTIONS[key][0]
@@ -313,35 +319,89 @@ def test_every_option_resolves_alike_from_flag_and_config(command, tmp_path):
         assert type(from_flags[key]) is type(from_config[key]) is type(want), key
 
 
+# The flags each command takes: every command's, then its own.
+_EVERY_COMMAND = "config seed n l sigma-w2 mismatch-db sps"
+_OWN_FLAGS = {
+    "sense": "snr pfa mode nominal m-grid hypothesis",
+    "estimate-noise": "snr m-grid hypothesis",
+    "sweep-snr": "trials quick workers out plot nominal pfa mode m-grid snr-min snr-max snr-step",
+    "sweep-pfa": "trials quick workers out plot nominal snr mode m-grid pfa-grid",
+    "sweep-factor": "trials quick workers out plot nominal pfa factor snr-min snr-max snr-step",
+}
+_TAKES = {command: set(f"{_EVERY_COMMAND} {own}".split()) for command, own in _OWN_FLAGS.items()}
+_REFUSED = [(command, key.replace("_", "-")) for command in _TAKES for key in cli._OPTIONS
+            if key.replace("_", "-") not in _TAKES[command]]
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    parser = cli._build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {name: {a.dest.replace("_", "-") for a in sub._actions if a.dest != "help"}
+             for name, sub in commands.choices.items()}
+    assert taken == _TAKES
+    assert sum(len(flags) for flags in taken.values()) == 77
+    assert len(_REFUSED) == 38
+
+
+@pytest.mark.parametrize(("command", "flag"), _REFUSED, ids=[f"{c}-{f}" for c, f in _REFUSED])
+def test_a_flag_its_command_does_not_read_exits_two(command, flag, capsys):
+    # Each of these was once accepted and ignored.
+    kind = cli._OPTIONS[flag.replace("-", "_")][0]
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}"] + ([] if kind is bool else [_sample(kind)[0]]))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_config_key_its_command_does_not_read_keeps_its_default(command, tmp_path):
+    # One config file may serve several commands.
+    keys = [key for key in cli._OPTIONS if key != "config"]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{key} = {_sample(cli._OPTIONS[key][0])[0]}\n" for key in keys))
+    got = cli._merge_options(cli._build_parser().parse_args([command, "--config", str(cfg)]))
+    for key in keys:
+        kind, default, _ = cli._OPTIONS[key]
+        assert got[key] == (_sample(kind)[1] if key.replace("_", "-") in _TAKES[command]
+                            else default), key
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [(["sense", "--l", "1"], "l: must be at least 2"),
      (["sense", "--n", "4", "--l", "8"], "n: must be at least l=8"),
-     (["sense", "--trials", "0"], "trials: must be positive"),
+     (["sweep-snr", "--trials", "0"], "trials: must be positive"),
      (["sense", "--m-grid", "1"], "m-grid: must be at least 2"),
      (["sense", "--mismatch-db", "-1"], "mismatch-db: must be non-negative"),
      (["sense", "--sigma-w2", "0"], "sigma-w2: must be positive"),
      (["sense", "--nominal", "-1"], "nominal: must be positive"),
-     (["sense", "--factor", "0"], "factor: must be positive"),
+     (["sweep-factor", "--factor", "0"], "factor: must be positive"),
      (["sweep-snr", "--snr-step", "0"], "snr-step: must be positive"),
      (["sweep-snr", "--snr-min", "3", "--snr-max", "1"], "snr-max: must be at least snr-min"),
      (["sense", "--seed", "-1"], "seed: must be non-negative"),
      (["sense", "--sps", "0"], "sps: must be at least 1"),
      (["sweep-snr", "--workers", "0"], "workers: must be at least 1"),
-     (["sense", "--nominal", "1e308", "--factor", "10"], "nominal: must be finite (got inf)"),
-     (["sweep-factor", "--quick", "--nominal", "1e308"], "nominal: must be finite (got inf)"),
+     (["sweep-factor", "--nominal", "1e306", "--factor", "1e3"],
+      "nominal: must be finite (got inf)"),
+     (["sweep-factor", "--quick", "--nominal", "1e308"],
+      "nominal: too large, the static threshold it sets is not finite (got 1e+308)"),
+     (["sense", "--nominal", "1e308", "--mode", "static"],
+      "nominal: too large, the static threshold it sets is not finite (got 1e+308)"),
+     (["sweep-snr", "--quick", "--mode", "static", "--nominal", "1e307", "--snr-min", "0",
+       "--snr-max", "0"], "nominal: too large, the static threshold it sets is not finite"),
      ("mode = sideways", "mode: must be one of static, dynamic, got ' sideways'"),
      ("n = abc", "n: expected an integer, got ' abc'")],
     ids=["l", "n-below-l", "trials", "m-grid", "mismatch-db", "sigma-w2", "nominal", "factor",
          "snr-step", "snr-max", "seed", "sps", "workers", "nominal-times-factor",
-         "factor-ladder", "config-mode", "config-n"],
+         "factor-ladder", "static-threshold-sense", "static-threshold-sweep", "config-mode",
+         "config-n"],
 )
 def test_every_usage_error_exits_two_and_names_its_flag(argv, message, tmp_path, capsys):
     if isinstance(argv, str):  # a config-file line
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(argv + "\n")
         argv = ["sweep-snr", "--config", str(cfg)]
-    assert main(argv + ["--out", str(tmp_path / "never")]) == 2
+    assert main(argv + _sweep_out(argv, tmp_path)) == 2
     assert f"specsense: error: {message}" in capsys.readouterr().err
     assert list(tmp_path.glob("never*")) == []
 
@@ -356,6 +416,7 @@ _PLAN_RULES = [
     ("master_seed", {"master_seed": -1}), ("m_grid", {"m_grid": 1}),
     ("mismatch_db", {"mismatch_db": np.nan}), ("mismatch_db", {"mismatch_db": -1.0}),
     ("mismatch_db", {"mismatch_db": 4000.0}), ("samples_per_symbol", {"samples_per_symbol": 0}),
+    ("sigma_nominal2", {"sigma_nominal2": 1e307}),
 ]
 
 
@@ -391,12 +452,13 @@ def test_non_finite_float_option_exits_two(key, value, source, tmp_path, capsys)
     # An infinite --snr-max once made the SNR grid loop forever, a nan
     # --nominal gave Pd = 0 and a nan --mismatch-db switched the wander off.
     name = key.replace("_", "-")
+    command = {"snr": "sweep-pfa", "factor": "sweep-factor"}.get(key, "sweep-snr")
     if source == "flag":
-        argv = ["sweep-snr", f"--{name}={value}"]
+        argv = [command, f"--{name}={value}"]
     else:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"{key} = {value}\n")
-        argv = ["sweep-snr", "--config", str(cfg)]
+        argv = [command, "--config", str(cfg)]
     assert main(argv + ["--out", str(tmp_path / "never")]) == 2
     assert f"{name}: must be finite" in capsys.readouterr().err
     assert list(tmp_path.glob("never*")) == []
@@ -441,19 +503,20 @@ def test_noise_estimate_needs_more_snapshots_than_rows(command, source, tmp_path
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("n = 8\nl = 8\n")
         argv = command + ["--config", str(cfg)]
-    assert main(argv + ["--trials", "100", "--out", str(tmp_path / "never")]) == 2
+    trials = ["--trials", "100"] if command[0].startswith("sweep") else []
+    assert main(argv + trials + _sweep_out(argv, tmp_path)) == 2
     assert "n: must exceed l=8 for a noise estimate (got 8)" in capsys.readouterr().err
     assert list(tmp_path.glob("never*")) == []
 
 
 def test_static_commands_run_at_n_equal_to_l(tmp_path, capsys):
-    square = ["--n", "8", "--l", "8", "--trials", "100"]
+    square = ["--n", "8", "--l", "8"]
     assert main(["sense", *square]) == 0
     assert main(["sense", "--mode", "static", *square]) == 0
-    assert main(["sweep-factor", *square, "--snr-min", "0", "--snr-max", "0",
+    assert main(["sweep-factor", *square, "--trials", "100", "--snr-min", "0", "--snr-max", "0",
                  "--out", str(tmp_path / "factor")]) == 0
-    assert main(["sweep-snr", "--mode", "static", *square, "--snr-min", "0", "--snr-max", "0",
-                 "--out", str(tmp_path / "snr")]) == 0
+    assert main(["sweep-snr", "--mode", "static", *square, "--trials", "100", "--snr-min", "0",
+                 "--snr-max", "0", "--out", str(tmp_path / "snr")]) == 0
     assert sorted(path.name for path in tmp_path.glob("*.csv")) == [
         "factor_factor_1.5.csv", "factor_factor_1.csv", "factor_factor_2.5.csv",
         "factor_factor_2.csv", "snr_static.csv",
@@ -476,6 +539,6 @@ def test_snr_whose_signal_power_overflows_exits_two(argv, flag, tmp_path, capsys
     # These ended in an OverflowError traceback from 10 ** (snr / 10), or
     # from 10 ** (offset / 10) once a trial's noise wander passed about
     # 3 082 dB.
-    assert main(argv + ["--out", str(tmp_path / "never")]) == 2
+    assert main(argv + _sweep_out(argv, tmp_path)) == 2
     assert f"{flag}: too large" in capsys.readouterr().err
     assert list(tmp_path.glob("never*")) == []

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from oracles import reference_pair, theory_static
+from oracles import reference_pair, theory_oracle, theory_static
 import specsense
 import specsense.harness as harness
 from specsense import cli
@@ -413,6 +413,78 @@ def test_quick_sweeps_static_points_match_exact_theory():
             if p_value < alpha:
                 misses.append((plan, name, count, theory, p_value))
     assert misses == []
+
+
+_ACCEPTANCE_SEED = 20260825  # the master seed of tests/test_acceptance.py
+
+
+def _acceptance_static_plans() -> list[TrialPlan]:
+    """The static plans of criteria 8 and 9, as the acceptance suite builds them:
+    criterion 8's 44 factor plans, then per target criterion 9's 7 reach plans
+    and its Pfa plan."""
+    common = dict(n_trials=1000, mode=ThresholdMode.STATIC, master_seed=_ACCEPTANCE_SEED)
+    plans = [TrialPlan(sigma_nominal2=factor, sigma_s2=10.0 ** (snr / 10.0), target_pfa=0.1,
+                       mismatch_db=0.0, **common)
+             for factor in (1.0, 1.5, 2.0, 2.5) for snr in range(-10, 11, 2)]
+    for target in (0.1, 0.2):
+        plans += [TrialPlan(target_pfa=target, sigma_w2_true=10.0 ** (-0.3), sigma_nominal2=1.0,
+                            sigma_s2=10.0 ** (-0.3) * 10.0 ** (snr / 10.0), mismatch_db=3.0,
+                            **common)
+                  for snr in range(-6, 7, 2)]
+        plans.append(TrialPlan(target_pfa=target, sigma_s2=0.0, sigma_w2_true=10.0 ** 0.3,
+                               sigma_nominal2=1.0, mismatch_db=3.0, **common))
+    return plans
+
+
+def test_acceptance_static_points_match_exact_theory():
+    # Criteria 8 and 9 compare static curves with each other; here each of
+    # their points also passes a two-sided binomial test against exact
+    # theory.  Bonferroni over the Pd and Pfa of all 60 plans, fixed before
+    # the run.
+    plans = _acceptance_static_plans()
+    assert len(plans) == 60
+    alpha = 0.01 / (2 * len(plans))
+    misses = []
+    for plan in plans:
+        point = run_point(plan)
+        for name, rate, theory in zip(("pd", "pfa"), (point.pd, point.pfa), theory_static(plan)):
+            count = round(rate * point.n_effective)
+            p_value = binomtest(count, point.n_effective, theory).pvalue
+            if p_value < alpha:
+                misses.append((plan, name, count, theory, p_value))
+    assert misses == []
+
+
+@pytest.mark.parametrize(
+    ("sps", "snr_db", "low_rank"),
+    [(8, -6.0, True), (8, -3.0, True), (2, 0.0, False), (1, 5.0, False)],
+    ids=["sps8-minus6dB", "sps8-minus3dB", "sps2-0dB", "sps1-plus5dB"],
+)
+def test_blind_threshold_needs_a_low_rank_signal(sps, snr_db, low_rank):
+    # The blind estimate takes the signal out of the noise eigenvalues only
+    # when each snapshot holds few symbols (sps = L: rank 1).  A white
+    # signal adds to every eigenvalue, the estimate counts it as noise, and
+    # the dynamic threshold rises with it.  Against a receiver that knows
+    # each trial's noise power, dynamic Pd is not below the oracle's at
+    # sps = L, and far below it at sps 2 and 1; Pfa holds at every point,
+    # since H0 frames hold no signal.  alpha is fixed before the run.
+    alpha = 0.01
+    plan = TrialPlan(n_trials=2048, n=128, l=8, target_pfa=0.1, mode=ThresholdMode.DYNAMIC,
+                     sigma_s2=power_at_db(1.0, snr_db), mismatch_db=3.0, master_seed=7,
+                     samples_per_symbol=sps)
+    point = run_point(plan)
+    pd, pfa = theory_oracle(plan)
+    trials = point.n_effective
+    below = binomtest(round(point.pd * trials), trials, pd, alternative="less").pvalue
+    assert (below >= alpha) if low_rank else (below < alpha), (point.pd, pd, below)
+    assert binomtest(round(point.pfa * trials), trials, pfa).pvalue >= alpha, (point.pfa, pfa)
+
+
+def test_a_dynamic_plan_runs_whatever_its_static_threshold():
+    # Only a STATIC plan needs a finite static threshold; work units once
+    # grouped plans by their STATIC twin, which that rule would refuse.
+    dynamic = _static_plan(n_trials=16, sigma_nominal2=1e307, mode=ThresholdMode.DYNAMIC)
+    assert run_point(dynamic) == run_point(replace(dynamic, sigma_nominal2=1.0))
 
 
 def test_sweep_derives_each_chunks_states_once(monkeypatch):

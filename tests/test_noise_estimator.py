@@ -30,7 +30,6 @@ from specsense.noise_estimator import (
     eigenvalues_hermitian,
     estimate_noise,
     estimate_noise_batch,
-    goodness_of_fit,
     mdl_signal_count,
     mp_cdf,
     sample_covariance,
@@ -328,10 +327,15 @@ def test_mp_cdf_unit_equals_broadcast_reference_bit_for_bit(seed, p, ulps):
 # ---------------------------------------------------------- goodness of fit
 
 
+def _fit_score(eigs: np.ndarray, p_eff: float, sigma2: float) -> float:
+    """The fit score of one row of noise eigenvalues against one candidate variance."""
+    return float(_fit_scores(eigs[None], p_eff, np.array([[sigma2]]))[0, 0])
+
+
 def test_goodness_of_fit_frozen_value():
     # midpoint plotting positions + quadrature CDF, computed externally
     eigs = np.array([1.3, 1.1, 0.95, 0.8])
-    got = goodness_of_fit(eigs, p_eff=0.05, sigma2=1.0)
+    got = _fit_score(eigs, p_eff=0.05, sigma2=1.0)
     np.testing.assert_allclose(got, 0.13363255455883835, atol=1e-7)
 
 
@@ -347,14 +351,14 @@ def test_goodness_of_fit_agrees_with_oracle_recomputation():
         ]
         expected = float(np.sqrt(np.sum(np.square(resid))))
         np.testing.assert_allclose(
-            goodness_of_fit(eigs, p_eff, 1.0), expected, atol=1e-7
+            _fit_score(eigs, p_eff, 1.0), expected, atol=1e-7
         )
 
 
 def test_goodness_of_fit_scale_invariance():
     eigs = np.array([1.4, 1.1, 0.9, 0.7])
-    a = goodness_of_fit(eigs, 0.1, 1.0)
-    b = goodness_of_fit(eigs * 2.0, 0.1, 2.0)
+    a = _fit_score(eigs, 0.1, 1.0)
+    b = _fit_score(eigs * 2.0, 0.1, 2.0)
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
@@ -365,9 +369,9 @@ def test_goodness_of_fit_prefers_true_scale():
 
     eigs = np.array(eigenvalues_hermitian(cov_of(f)).values)
     p_eff = 8 / 512
-    right = goodness_of_fit(eigs, p_eff, 1.0)
-    assert right < goodness_of_fit(eigs, p_eff, 0.7)
-    assert right < goodness_of_fit(eigs, p_eff, 1.4)
+    right = _fit_score(eigs, p_eff, 1.0)
+    assert right < _fit_score(eigs, p_eff, 0.7)
+    assert right < _fit_score(eigs, p_eff, 1.4)
 
 
 @settings(derandomize=True, deadline=None)

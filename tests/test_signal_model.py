@@ -16,7 +16,6 @@ from specsense.signal_model import (
     derive_seed,
     frame,
     generate_qpsk,
-    snr_db,
 )
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -231,12 +230,3 @@ def test_sample_frame_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         SampleFrame(data=bad)
-
-
-def test_snr_db():
-    assert snr_db(1.0, 1.0) == 0.0
-    np.testing.assert_allclose(snr_db(10.0, 1.0), 10.0)
-    np.testing.assert_allclose(snr_db(0.5, 2.0), -6.020599913279624)
-    with pytest.raises(ValueError):
-        snr_db(1.0, 0.0)
-
