@@ -31,13 +31,18 @@ CFG
 run sense --mode dynamic --config shared.cfg > shared-sense.txt
 run estimate-noise --config shared.cfg > shared-estimate-noise.txt
 run sweep-pfa --quick --config shared.cfg --out shared_pfa > /dev/null
-# The factor sweep puts many plans on each chunk across the pool.
+# The factor sweep puts many plans on each chunk across the pool.  The pfa
+# sweep's 7 targets, each running both modes on its one chunk, are 7 units
+# on a pool of 2.
 for w in 1 2; do
   run sweep-snr --quick --trials 1000 --snr-min 0 --snr-max 0 --workers $w --out smoke_w$w
   run sweep-factor --quick --trials 1000 --snr-min -4 --snr-max 0 --workers $w --out factor_w$w
+  run sweep-pfa --quick --trials 1000 --workers $w --out pfa_w$w
 done > /dev/null
-cmp smoke_w1_static.csv smoke_w2_static.csv
-cmp smoke_w1_dynamic.csv smoke_w2_dynamic.csv
+for mode in static dynamic; do
+  cmp smoke_w1_$mode.csv smoke_w2_$mode.csv
+  cmp pfa_w1_$mode.csv pfa_w2_$mode.csv
+done
 for csv in factor_w1_factor_*.csv; do
   cmp "$csv" "factor_w2${csv#factor_w1}"
 done

@@ -189,22 +189,29 @@ def _signal_power(o: dict[str, object], key: str) -> float:
     return power
 
 
-def _build_plan(o: dict[str, object]) -> TrialPlan:
-    sigma_w2 = float(o["sigma_w2"])
-    return TrialPlan(
-        n_trials=max(100, int(o["trials"]) // 10) if o["quick"] else int(o["trials"]),
-        n=int(o["n"]),
-        l=int(o["l"]),
-        target_pfa=float(o["pfa"]),
-        mode=ThresholdMode.DYNAMIC if o["mode"] == "dynamic" else ThresholdMode.STATIC,
-        sigma_w2_true=sigma_w2,
-        sigma_nominal2=sigma_w2 if o["nominal"] is None else float(o["nominal"]),
-        sigma_s2=_signal_power(o, "snr"),
-        master_seed=int(o["seed"]),
-        m_grid=int(o["m_grid"]),
-        mismatch_db=float(o["mismatch_db"]),
-        samples_per_symbol=None if o["sps"] is None else int(o["sps"]),
-    )
+def _build_plan(o: dict[str, object], snr: str = "snr") -> TrialPlan:
+    """The plan of the options, at option ``snr``'s SNR, which a plan error
+    on the signal power names."""
+    sigma_w2, sigma_s2 = float(o["sigma_w2"]), _signal_power(o, snr)
+    try:
+        return TrialPlan(
+            n_trials=max(100, int(o["trials"]) // 10) if o["quick"] else int(o["trials"]),
+            n=int(o["n"]),
+            l=int(o["l"]),
+            target_pfa=float(o["pfa"]),
+            mode=ThresholdMode.DYNAMIC if o["mode"] == "dynamic" else ThresholdMode.STATIC,
+            sigma_w2_true=sigma_w2,
+            sigma_nominal2=sigma_w2 if o["nominal"] is None else float(o["nominal"]),
+            sigma_s2=sigma_s2,
+            master_seed=int(o["seed"]),
+            m_grid=int(o["m_grid"]),
+            mismatch_db=float(o["mismatch_db"]),
+            samples_per_symbol=None if o["sps"] is None else int(o["sps"]),
+        )
+    except PlanError as exc:
+        if exc.field != "sigma_s2":
+            raise
+        raise UsageError(f"{snr.replace('_', '-')}: {exc.message}") from None
 
 
 def _emit(key: str, value: object) -> None:
@@ -278,7 +285,9 @@ def _cmd_sweep(command: str, o: dict[str, object]) -> int:
     """sweep-snr, sweep-pfa or sweep-factor: one CSV per curve, then the chart."""
     workers = int(o["workers"])
     grid = _pfa_grid(o) if command == "sweep-pfa" else _snr_grid(o)
-    plan = _build_plan(o)
+    # An SNR sweep's plan takes the grid's largest signal power: every row
+    # passes the rules it passes, and a rule it breaks names --snr-max.
+    plan = _build_plan(o, "snr" if command == "sweep-pfa" else "snr_max")
     failure = None
     try:
         if command == "sweep-factor":  # each factor scales the plan's nominal noise power

@@ -24,14 +24,13 @@ Each row of a stacked stage is bit-for-bit the single-frame result, and
 the noise estimates are summed trial by trial in trial order, so a
 point's result depends neither on the block size nor on the plans beside
 it.  A call runs all its units before it reduces any plan, so a call
-whose plan trips the failure guard finishes its other units first, then
-raises for the first such plan an error that carries every other plan's
-result.
+whose plan trips the failure guard finishes its other units first; the
+caller then raises for the first such plan an error that carries every
+other plan's result.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
@@ -84,8 +83,29 @@ _CHUNK = 128  # trials per work unit; fixed so reductions never reorder
 _BLOCK = 16
 
 # A plan's tally of one chunk: (h1 detections, h0 detections, failed
-# trials, sum of noise estimates, completed trials).
-_Tally = tuple[int, int, int, float, int]
+# trials, sum of noise estimates).
+_Tally = tuple[int, int, int, float]
+
+# A trial's sums stay finite when this times l * n times the power of its
+# samples (the top of the noise wander plus the signal) is finite.  A frame
+# of l * n samples at power p has energy E of mean l * n * p, and every sum
+# a trial forms is at most 33 E.  The covariance products before the / n
+# and the energy statistic are at most 2 E (Cauchy-Schwarz); their
+# Hermitian average, of products divided by n, at most 2 E / n.  The noise
+# estimate is at most the covariance's largest eigenvalue, so at most its
+# trace E / n; the dynamic threshold, that times Q^-1(pfa) sqrt(2 n) + n, is
+# at most E (1 + 38.5 sqrt(2 / 3)) < 33 E, since Q^-1 is below 38.5 at the
+# smallest target, 5e-324, and a noise estimate needs n >= 3.  The lower
+# support bound lambda_min / (1 - sqrt(l / n))^2 is at most 6 E.  2^10 / 33
+# leaves E a factor 31 above its mean.
+_HEADROOM = 2.0**10
+# The smallest noise power a plan may have, at the bottom of its wander.
+# Below about 2^-1020 a trial's smallest eigenvalues lose bits as
+# subnormals, and they sit further below the noise power the squarer the
+# frame: at L=8 and a 3 dB wander, scaling a point's powers left its rates
+# and noise estimate unchanged down to 2^-1020 at N=128 or 16, 2^-1018 at
+# N=12 and 2^-1014 at N=11.  The bound keeps 13 binades from the last.
+_POWER_MIN = 2.0**-1001
 
 _ROLE_SIGNAL = 0
 _ROLE_NOISE = 1
@@ -156,17 +176,32 @@ class TrialPlan:
         check("target_pfa", 0.0 < self.target_pfa < 1.0, "must be strictly between 0 and 1")
         for field in ("sigma_w2_true", "sigma_nominal2", "sigma_s2", "mismatch_db"):
             check(field, math.isfinite(getattr(self, field)), "must be finite")
-        check("sigma_w2_true", self.sigma_w2_true > 0.0, "must be positive")
-        check("sigma_nominal2", self.sigma_nominal2 > 0.0, "must be positive")
+        # Python floats: numpy scalars would warn where these overflow.
+        sigma_w2, nominal, sigma_s2, db = map(float, (
+            self.sigma_w2_true, self.sigma_nominal2, self.sigma_s2, self.mismatch_db))
+        sums = f"too large, a trial's sums over l * n = {self.l * self.n} samples would overflow"
+
+        def summable(power: float) -> bool:  # see _HEADROOM
+            return math.isfinite(_HEADROOM * self.l * self.n * power)
+
+        check("sigma_w2_true", sigma_w2 > 0.0, "must be positive")
+        check("sigma_w2_true", summable(sigma_w2), sums)
+        check("sigma_w2_true", sigma_w2 >= _POWER_MIN,
+              f"too small, a noise power below {_POWER_MIN:.4g} is not estimated exactly")
+        check("sigma_nominal2", nominal > 0.0, "must be positive")
         check("sigma_nominal2", self.mode is not ThresholdMode.STATIC or math.isfinite(
-            static_threshold(self.sigma_nominal2, self.target_pfa, self.n)),
+            static_threshold(nominal, self.target_pfa, self.n)),
             "too large, the static threshold it sets is not finite")
-        check("sigma_s2", self.sigma_s2 >= 0.0, "must be non-negative")
+        check("sigma_s2", sigma_s2 >= 0.0, "must be non-negative")
         check("master_seed", self.master_seed >= 0, "must be non-negative")
         check("m_grid", self.m_grid >= 2, "must be at least 2")
-        check("mismatch_db", self.mismatch_db >= 0.0, "must be non-negative")
-        check("mismatch_db", math.isfinite(power_at_db(self.sigma_w2_true, self.mismatch_db)),
-              "too large, the noise power it can wander to is not finite")
+        check("mismatch_db", db >= 0.0, "must be non-negative")
+        top = power_at_db(sigma_w2, db)
+        check("mismatch_db", summable(top), f"{sums} at the noise power it can wander to")
+        check("mismatch_db", power_at_db(sigma_w2, -db) >= _POWER_MIN,
+              f"too large, the noise power it can wander down to is below {_POWER_MIN:.4g}")
+        check("sigma_s2", summable(top + sigma_s2),
+              f"{sums} at this signal power plus the top of the noise wander")
         check("samples_per_symbol",
               self.samples_per_symbol is None or self.samples_per_symbol >= 1,
               "must be at least 1")
@@ -193,7 +228,6 @@ class PointResult:
 class SweepResult:
     """Rows of (sweep value, point result) for one curve."""
 
-    sweep_name: str
     values: tuple[float, ...]
     points: tuple[PointResult, ...]
 
@@ -205,9 +239,10 @@ class FailureGuardError(RuntimeError):
     sweep's error also holds ``curves``, each curve's completed rows.
     """
 
-    def __init__(self, message: str, points: Sequence[PointResult | None]) -> None:
+    def __init__(self, message: str, points: Sequence[PointResult | None],
+                 curves: dict | None = None) -> None:
         super().__init__(message)
-        self.points, self.curves = tuple(points), {}
+        self.points, self.curves = tuple(points), curves or {}
 
 
 def synthesize_pair(plan: TrialPlan, trial: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -358,22 +393,21 @@ def _run_chunk(plans: Sequence[TrialPlan], start: int) -> list[_Tally]:
             detected = energies[ok] > sigma[ok] * threshold if d else energies > threshold
             counts[0] += int(np.count_nonzero(detected[:, 0]))
             counts[1] += int(np.count_nonzero(detected[:, 1]))
-    trials = stop - start
-    return [
-        (h1, h0, trials - estimated, sigma_sum, estimated) if d else (h1, h0, 0, 0.0, trials)
-        for (h1, h0), d in zip(detections, dynamic)
-    ]
+    failed = stop - start - estimated
+    return [(h1, h0, failed, sigma_sum) if d else (h1, h0, 0, 0.0)
+            for (h1, h0), d in zip(detections, dynamic)]
 
 
 def _point_result(plan: TrialPlan, tallies: Sequence[_Tally]) -> PointResult | None:
     """Reduce one plan's chunk tallies, in chunk order, to its point result;
-    None when more than 1% of its trials failed."""
-    det_h1, det_h0, failed, completed = (sum(t[i] for t in tallies) for i in (0, 1, 2, 4))
+    None when more than 1% of its trials failed.  A trial completes unless it fails."""
+    det_h1, det_h0, failed = (sum(t[i] for t in tallies) for i in range(3))
     if failed > 0.01 * plan.n_trials:
         return None
     sigma_sum = 0.0
-    for t in tallies:  # fixed chunk order: float reduction is reproducible
+    for t in tallies:  # in chunk order, one add at a time: 3.12's sum() would compensate
         sigma_sum += t[3]
+    completed = plan.n_trials - failed
     pd = det_h1 / completed
     pfa = det_h0 / completed
     mean_sigma = None
@@ -384,8 +418,10 @@ def _point_result(plan: TrialPlan, tallies: Sequence[_Tally]) -> PointResult | N
                        failed_trials=failed, n_effective=completed)
 
 
-def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
-    """Run every plan; one point result per plan, in plan order.
+def _run_points(plans: Sequence[TrialPlan],
+                workers: int) -> tuple[list[PointResult | None], str | None]:
+    """Run every plan: one point result per plan, in plan order, None where the
+    failure guard tripped; and the first such plan's failure message, or None.
 
     A work unit is one chunk of trials of a group of plans that differ only
     in ``mode``: the group synthesizes each trial once for all its plans.
@@ -401,8 +437,7 @@ def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
 
     Tallies come back in unit order whatever the worker count, and each
     plan's are reduced in chunk order.  Every unit runs before any plan is
-    reduced; then the first plan, in plan order, that trips the failure
-    guard raises :class:`FailureGuardError`.
+    reduced.
     """
     # The key is every field of the plan but its mode (a plan of the other
     # mode might break that mode's rules); the value, the indices of the
@@ -434,12 +469,11 @@ def _run_points(plans: Sequence[TrialPlan], workers: int) -> list[PointResult]:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     points = [_point_result(plan, plan_tallies) for plan, plan_tallies in zip(plans, tallies)]
-    if None in points:
-        first = points.index(None)
-        failed = sum(t[2] for t in tallies[first])
-        raise FailureGuardError(
-            f"noise estimation failed in {failed}/{plans[first].n_trials} trials", points)
-    return points
+    if None not in points:
+        return points, None
+    first = points.index(None)
+    failed = sum(t[2] for t in tallies[first])
+    return points, f"noise estimation failed in {failed}/{plans[first].n_trials} trials"
 
 
 def run_point(plan: TrialPlan, workers: int = 1) -> PointResult:
@@ -454,27 +488,29 @@ def run_point(plan: TrialPlan, workers: int = 1) -> PointResult:
         plan: the point description.
         workers: process count; results are identical for any value.
     """
-    return _run_points([plan], workers)[0]
+    points, failure = _run_points([plan], workers)
+    if failure is not None:
+        raise FailureGuardError(failure, points)
+    return points[0]
 
 
-def _sweep(curves: dict, sweep_name: str, values: Sequence[float], workers: int) -> dict:
-    """Run the plans of every curve as one batch; one SweepResult per curve,
-    of the rows that completed, which a FailureGuardError carries too."""
-    failure = None
-    try:
-        points = _run_points([p for plans in curves.values() for p in plans], workers)
-    except FailureGuardError as exc:
-        points, failure = exc.points, exc
-    points, results = iter(points), {}
-    for key, plans in curves.items():
-        rows = [(float(v), p) for v, p in zip(values, itertools.islice(points, len(plans)))
-                if p is not None]
-        results[key] = SweepResult(sweep_name, tuple(v for v, _ in rows),
-                                   tuple(p for _, p in rows))
-    if failure is None:
-        return results
-    failure.curves = results
-    raise failure
+def _sweep(plan: TrialPlan, curves: dict, field: str, values: Sequence, labels: Sequence[float],
+           workers: int) -> dict:
+    """Run ``replace(plan, **curves[key], **{field: values[i]})`` for every
+    curve and i as one batch; one SweepResult per curve, of the rows that
+    completed, row i labelled ``labels[i]``, which a
+    :class:`FailureGuardError` carries too."""
+    plans = [replace(plan, **changes, **{field: value})
+             for changes in curves.values() for value in values]
+    points, failure = _run_points(plans, workers)
+    results = {}
+    for index, key in enumerate(curves):
+        rows = [(float(label), point) for label, point
+                in zip(labels, points[index * len(values) :]) if point is not None]
+        results[key] = SweepResult(tuple(v for v, _ in rows), tuple(p for _, p in rows))
+    if failure is not None:
+        raise FailureGuardError(failure, points, results)
+    return results
 
 
 def power_at_db(power: float, db: float) -> float:
@@ -509,12 +545,9 @@ def sweep_snr(
     All modes and points share the master seed, so curves are paired
     trial-for-trial and differences reflect thresholds, not sampling noise.
     """
-    curves = {
-        mode: [replace(plan, mode=mode, sigma_s2=_snr_to_sigma_s2(plan, snr))
-               for snr in snr_grid_db]
-        for mode in modes
-    }
-    return _sweep(curves, "snr_db", snr_grid_db, workers)
+    powers = [_snr_to_sigma_s2(plan, snr) for snr in snr_grid_db]
+    return _sweep(plan, {mode: {"mode": mode} for mode in modes}, "sigma_s2", powers,
+                  snr_grid_db, workers)
 
 
 def sweep_pfa(
@@ -524,11 +557,8 @@ def sweep_pfa(
     workers: int = 1,
 ) -> dict[ThresholdMode, SweepResult]:
     """Pd/Pfa versus the target false-alarm setting at fixed SNR."""
-    curves = {
-        mode: [replace(plan, mode=mode, target_pfa=float(pfa)) for pfa in pfa_grid]
-        for mode in modes
-    }
-    return _sweep(curves, "target_pfa", pfa_grid, workers)
+    return _sweep(plan, {mode: {"mode": mode} for mode in modes}, "target_pfa",
+                  [float(pfa) for pfa in pfa_grid], pfa_grid, workers)
 
 
 def sweep_threshold_factor(
@@ -543,16 +573,11 @@ def sweep_threshold_factor(
     detector with an assumed noise power of ``f * plan.sigma_nominal2``, so
     factor 1 is the plan's own static threshold.
     """
-    curves = {
-        float(factor): [
-            replace(plan, mode=ThresholdMode.STATIC,
-                    sigma_nominal2=plan.sigma_nominal2 * float(factor),
-                    sigma_s2=_snr_to_sigma_s2(plan, snr))
-            for snr in snr_grid_db
-        ]
-        for factor in factors
-    }
-    return _sweep(curves, "snr_db", snr_grid_db, workers)
+    nominal = plan.sigma_nominal2
+    curves = {float(f): {"mode": ThresholdMode.STATIC, "sigma_nominal2": nominal * float(f)}
+              for f in factors}
+    powers = [_snr_to_sigma_s2(plan, snr) for snr in snr_grid_db]
+    return _sweep(plan, curves, "sigma_s2", powers, snr_grid_db, workers)
 
 
 _CSV_HEADER = "sweep_value,pd,pfa,pd_ci,pfa_ci,mean_sigma_hat2,failed_trials"

@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 # Floor applied inside logarithms so an exactly-zero eigenvalue cannot
-# produce -inf in the MDL criterion.
-_LOG_FLOOR = 1e-300
+# produce -inf in the MDL criterion: the smallest normal float, so that no
+# eigenvalue of a normal noise floor is misread.
+_LOG_FLOOR = float(np.finfo(np.float64).tiny)
 
 
 class EstimationFailure(RuntimeError):

@@ -417,6 +417,13 @@ _PLAN_RULES = [
     ("mismatch_db", {"mismatch_db": np.nan}), ("mismatch_db", {"mismatch_db": -1.0}),
     ("mismatch_db", {"mismatch_db": 4000.0}), ("samples_per_symbol", {"samples_per_symbol": 0}),
     ("sigma_nominal2", {"sigma_nominal2": 1e307}),
+    # numpy scalars: a rule's arithmetic must not overflow with a warning
+    ("sigma_nominal2", {"sigma_nominal2": np.float64(1e307)}),
+    ("sigma_w2_true", {"sigma_w2_true": np.float64(1e306)}),
+    ("sigma_w2_true", {"sigma_w2_true": 1e-303}),
+    ("mismatch_db", {"sigma_w2_true": 1e300, "mismatch_db": np.float64(30.0)}),
+    ("mismatch_db", {"mismatch_db": 3020.0}),
+    ("sigma_s2", {"sigma_s2": np.float64(1e303)}),
 ]
 
 
@@ -433,6 +440,36 @@ def test_every_plan_rule_names_a_field_that_has_a_flag(field, broken):
     unflagged = [f for f in TrialPlan.__dataclass_fields__
                  if cli._FLAGS.get(f, f).replace("-", "_") not in cli._OPTIONS]
     assert unflagged == []
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [(["estimate-noise", "--sigma-w2", "1e307"], "sigma-w2: too large"),
+     (["sense", "--mode", "dynamic", "--sigma-w2", "1e306"], "sigma-w2: too large"),
+     (["sweep-snr", "--quick", "--mode", "dynamic", "--sigma-w2", "2e306", "--snr-min", "0",
+       "--snr-max", "0", "--mismatch-db", "0"], "sigma-w2: too large"),
+     (["sense", "--sigma-w2", "1e308"], "sigma-w2: too large"),
+     (["sense", "--snr", "3070"], "snr: too large"),
+     (["sweep-snr", "--snr-max", "3070"], "snr-max: too large"),
+     (["sweep-factor", "--snr-min", "3070", "--snr-max", "3070"], "snr-max: too large"),
+     (["sense", "--sigma-w2", "1e300", "--mismatch-db", "30"], "mismatch-db: too large"),
+     (["sweep-snr", "--quick", "--mode", "dynamic", "--nominal", "1", "--snr-min", "-3",
+       "--snr-max", "-3", "--sigma-w2", "1e-303"], "sigma-w2: too small"),
+     (["estimate-noise", "--sigma-w2", "1e-290", "--mismatch-db", "120"],
+      "mismatch-db: too large")],
+    ids=["estimate-noise", "sense", "sweep-snr", "sense-default-nominal", "sense-snr",
+         "sweep-snr-max", "sweep-factor-snr-max", "sense-wander-top", "sweep-snr-tiny-noise",
+         "estimate-noise-wander-bottom"],
+)
+def test_a_power_out_of_the_plans_range_exits_two(argv, flag, tmp_path, capsys):
+    # At such powers a trial's sums overflowed (a LAPACK failure, or a
+    # statistic of inf with exit 0), or the blind estimate floored a noise
+    # eigenvalue and changed its answer; a default --nominal took the blame
+    # for --sigma-w2, and a sweep's grid end for --snr.
+    assert main(argv + _sweep_out(argv, tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert f"specsense: error: {flag}" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_cannot_name_another_config(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests of the Monte Carlo harness: pairing, reductions, CSV output."""
 import concurrent.futures
+import functools
 import io
 import math
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
@@ -76,9 +77,11 @@ def test_trial_plan_validation():
     with pytest.raises(ValueError):
         _static_plan(mismatch_db=-0.5)
     # A wander to a power that is not finite: an OverflowError from
-    # 10 ** (offset / 10) in synthesis, or noise rows of infinite power.
-    for sigma_w2_true, mismatch_db in ((1.0, 4000.0), (1e307, 20.0)):
-        with pytest.raises(ValueError, match="mismatch_db: too large"):
+    # 10 ** (offset / 10) in synthesis, or noise rows of infinite power.  A
+    # noise power of 1e307 now breaks its own rule before the wander's.
+    for sigma_w2_true, mismatch_db, field in ((1.0, 4000.0, "mismatch_db"),
+                                              (1e307, 20.0, "sigma_w2_true")):
+        with pytest.raises(ValueError, match=f"{field}: too large"):
             _static_plan(sigma_w2_true=sigma_w2_true, mismatch_db=mismatch_db)
     _static_plan(mismatch_db=3000.0)
     with pytest.raises(ValueError, match="master_seed"):
@@ -189,7 +192,8 @@ def test_failed_rows_fail_exactly_their_trials(monkeypatch):
     # same trials and the static plan none.
     calls.clear()
     static_plan = replace(plan, mode=ThresholdMode.STATIC)
-    assert harness._run_points([static_plan, plan], workers=1) == [run_point(static_plan), r]
+    assert harness._run_points([static_plan, plan], workers=1) == ([run_point(static_plan), r],
+                                                                   None)
     assert len(calls) == n_calls
 
 
@@ -326,7 +330,6 @@ def test_sweep_snr_produces_both_modes():
     curves = sweep_snr(plan, [-4.0, 0.0], workers=1)
     assert set(curves) == {ThresholdMode.STATIC, ThresholdMode.DYNAMIC}
     for result in curves.values():
-        assert result.sweep_name == "snr_db"
         assert result.values == (-4.0, 0.0)
         assert len(result.points) == 2
 
@@ -372,7 +375,7 @@ def test_sweep_snr_rejects_an_snr_whose_signal_power_overflows():
     plan = _static_plan(n_trials=10)
     with pytest.raises(ValueError, match="4000.0 dB"):
         sweep_snr(plan, [0.0, 4000.0])
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="sigma_w2_true: too large"):
         sweep_snr(replace(plan, sigma_w2_true=1e307), [20.0], modes=(ThresholdMode.STATIC,))
 
 
@@ -485,6 +488,51 @@ def test_a_dynamic_plan_runs_whatever_its_static_threshold():
     # grouped plans by their STATIC twin, which that rule would refuse.
     dynamic = _static_plan(n_trials=16, sigma_nominal2=1e307, mode=ThresholdMode.DYNAMIC)
     assert run_point(dynamic) == run_point(replace(dynamic, sigma_nominal2=1.0))
+
+
+def _scaled(plan: TrialPlan, k: int) -> TrialPlan:
+    """``plan`` with its noise, nominal and signal powers scaled by 4^k."""
+    scale = 4.0**k
+    return replace(plan, sigma_w2_true=plan.sigma_w2_true * scale,
+                   sigma_nominal2=plan.sigma_nominal2 * scale, sigma_s2=plan.sigma_s2 * scale)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_point(l: int, n: int, mode: ThresholdMode) -> tuple[TrialPlan, PointResult, range]:
+    """A unit-scale plan, its result and the k whose 4^k scaling the plan rules allow."""
+    plan = _static_plan(n_trials=100, n=n, l=l, mode=mode, sigma_s2=power_at_db(1.0, -3.0),
+                        mismatch_db=3.0)
+
+    def allowed(k):
+        try:
+            _scaled(plan, k)
+        except harness.PlanError:
+            return False
+        return True
+
+    ks = [k for k in range(-511, 512) if allowed(k)]  # 4^+-511: 2^+-1022, still normal
+    assert ks == list(range(ks[0], ks[-1] + 1))
+    return plan, run_point(plan), range(ks[0], ks[-1] + 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(shape=st.sampled_from([(8, 128), (8, 12)]), mode=st.sampled_from(list(ThresholdMode)),
+       k=st.integers(-520, 520))
+@example(shape=(8, 128), mode=ThresholdMode.DYNAMIC, k=-500)
+def test_run_point_is_scale_equivariant(shape, mode, k):
+    # Scaling every power by 4^k, exactly, must leave every decision and
+    # failure as it was and scale the mean noise estimate, across the whole
+    # range the plan rules allow; a k beyond it is clamped, so both ends are
+    # drawn often.  The square-ish 8 x 12 frame has the smallest
+    # eigenvalues.  Below 1e-300 the MDL split once floored them and moved
+    # Pd, and near the top of the range a trial's sums overflowed.
+    plan, unit, ks = _unit_point(*shape, mode)
+    k = min(max(k, ks.start), ks.stop - 1)
+    got = run_point(_scaled(plan, k))
+    assert (got.pd, got.pfa, got.failed_trials) == (unit.pd, unit.pfa, unit.failed_trials)
+    if mode is ThresholdMode.DYNAMIC:
+        want = unit.mean_sigma_hat2 * 4.0**k
+        assert abs(got.mean_sigma_hat2 - want) <= 4 * math.ulp(want)  # LAPACK's own scaling
 
 
 def test_sweep_derives_each_chunks_states_once(monkeypatch):
@@ -613,7 +661,6 @@ def test_sweep_raises_for_its_first_failing_point(workers):
 
 def test_write_results_csv_layout():
     result = SweepResult(
-        sweep_name="snr_db",
         values=(-2.0,),
         points=(
             PointResult(
