@@ -46,6 +46,15 @@ done
 for csv in factor_w1_factor_*.csv; do
   cmp "$csv" "factor_w2${csv#factor_w1}"
 done
+# A master seed of five 32-bit words (2**128 + 1): the seed kernel mixes a
+# trial's words into its pool after all five.
+for w in 1 2; do
+  run sweep-pfa --quick --trials 1000 --seed 340282366920938463463374607431768211457 \
+    --workers $w --out seed5_w$w > /dev/null
+done
+for mode in static dynamic; do
+  cmp seed5_w1_$mode.csv seed5_w2_$mode.csv
+done
 # Each mode run alone writes the both-modes run's CSV.
 for mode in static dynamic; do
   run sweep-snr --quick --trials 1000 --snr-min 0 --snr-max 0 --workers 2 --mode $mode \

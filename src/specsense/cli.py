@@ -211,7 +211,8 @@ def _build_plan(o: dict[str, object], snr: str = "snr") -> TrialPlan:
     except PlanError as exc:
         if exc.field != "sigma_s2":
             raise
-        raise UsageError(f"{snr.replace('_', '-')}: {exc.message}") from None
+        rule = exc.message.rpartition(" (got ")[0]  # the value is the SNR, not its power
+        raise UsageError(f"{snr.replace('_', '-')}: {rule} (got {float(o[snr])})") from None
 
 
 def _emit(key: str, value: object) -> None:

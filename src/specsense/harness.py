@@ -49,13 +49,14 @@ from .detector import (
 from .noise_estimator import NoiseEstimate, estimate_noise, estimate_noise_batch
 from .signal_model import (
     Hypothesis,
+    _column_states,
     _fill_awgn,
     _fill_qpsk,
-    _pcg64_states,
     _uniforms,
-    derive_seed,
     frame,
 )
+# Not called here: perfbench's tracer rebinds harness.derive_seed, and its tests read it.
+from .signal_model import derive_seed  # noqa: F401
 
 __all__ = [
     "FailureGuardError",
@@ -169,6 +170,8 @@ class TrialPlan:
                 raise PlanError(field, f"{message} (got {getattr(self, field)})")
 
         check("n_trials", self.n_trials >= 1, "must be positive")
+        check("n_trials", self.n_trials <= 2**32,
+              "must be at most 2**32, a trial's index is one 32-bit seed word")
         check("l", self.l >= 2, "must be at least 2")
         check("n", self.n >= self.l, f"must be at least l={self.l}")
         check("n", self.mode is not ThresholdMode.DYNAMIC or self.n > self.l,
@@ -281,11 +284,11 @@ def _trial_states(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _seeded_states(master_seed: int, roles: tuple[int, ...], start: int,
                    stop: int) -> np.ndarray:
-    """:func:`_trial_states` from one array call of ``derive_seed`` and one of
-    ``_pcg64_states``."""
-    trials, column = np.divmod(np.arange(start * len(roles), stop * len(roles)), len(roles))
-    seeds = derive_seed(master_seed, trials, np.array(roles)[column])
-    states = _pcg64_states(seeds).reshape(stop - start, len(roles), 4)
+    """:func:`_trial_states` from one call of the seed kernel,
+    :func:`~specsense.signal_model._column_states`, for all its rows."""
+    trials = np.repeat(np.arange(start, stop, dtype=np.uint32), len(roles))
+    column = np.tile(np.array(roles, np.uint32), stop - start)
+    states = _column_states(master_seed, trials, column).reshape(stop - start, len(roles), 4)
     states.flags.writeable = False  # every caller shares this one array
     return states
 
@@ -404,15 +407,20 @@ def _point_result(plan: TrialPlan, tallies: Sequence[_Tally]) -> PointResult | N
     det_h1, det_h0, failed = (sum(t[i] for t in tallies) for i in range(3))
     if failed > 0.01 * plan.n_trials:
         return None
-    sigma_sum = 0.0
-    for t in tallies:  # in chunk order, one add at a time: 3.12's sum() would compensate
-        sigma_sum += t[3]
     completed = plan.n_trials - failed
     pd = det_h1 / completed
     pfa = det_h0 / completed
     mean_sigma = None
     if plan.mode is ThresholdMode.DYNAMIC:
-        mean_sigma = sigma_sum / (2.0 * completed)
+        # A sum that overflows is taken again at 2^-64 scale: exact powers of
+        # two, so every mean the first sum gives keeps its bits.
+        for scale in (1.0, 2.0**-64):
+            sigma_sum = 0.0
+            for t in tallies:  # in chunk order, one add at a time: 3.12's sum() would compensate
+                sigma_sum += t[3] * scale
+            if math.isfinite(sigma_sum):
+                break
+        mean_sigma = sigma_sum / (2.0 * completed) / scale
     pd_ci, pfa_ci = (_CI_Z * math.sqrt(p * (1.0 - p) / completed) for p in (pd, pfa))
     return PointResult(pd=pd, pfa=pfa, pd_ci=pd_ci, pfa_ci=pfa_ci, mean_sigma_hat2=mean_sigma,
                        failed_trials=failed, n_effective=completed)

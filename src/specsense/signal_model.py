@@ -2,12 +2,13 @@
 
 All randomness flows through integer seeds so that every trial of a larger
 experiment can be reproduced bit-for-bit from a single master seed.  Seeds
-and generator states come from numpy's ``SeedSequence``: a single seed
-from a ``SeedSequence`` object, a column of seeds from a vectorised copy
-of its mixing, run at once for every row on one ``(4, rows)`` uint32 pool
-array.  Streams are drawn row by row into stacked buffers; one stream is
-the stack of one.  Each row draws only the numbers its reader uses, bit
-for bit what ``numpy.random.default_rng(seed)`` would give:
+and generator states come from numpy's ``SeedSequence``: a single seed or
+state from a ``SeedSequence`` object, a column of states from a vectorised
+copy of its mixing in two passes, each run at once for every row on one
+``(4, rows)`` uint32 pool array; the first pass starts from the master
+seed's own pool.  Streams are drawn row by row into stacked buffers; one
+stream is the stack of one.  Each row draws only the numbers its reader
+uses, bit for bit what ``numpy.random.default_rng(seed)`` would give:
 
 * noise rows draw normals through a ``Generator``: a complex row draws all
   its real parts, then all its imaginary parts; a float64 row, the real
@@ -63,56 +64,16 @@ _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 
 
-def derive_seed(master_seed: int, *path: int | np.ndarray) -> int | np.ndarray:
+def derive_seed(master_seed: int, *path: int) -> int:
     """Derive a 64-bit sub-seed from a master seed and an index path.
 
     Returns the first ``uint64`` state word of
     ``SeedSequence(entropy=master_seed, spawn_key=path)``, so substreams for
     different ``path`` tuples (e.g. ``(trial, role)``) are statistically
-    independent and stable across platforms and process counts.  With
-    scalar entries only the result is an ``int``, from that one
-    ``SeedSequence``.
-
-    A path entry may also be a 1-D integer array with values in
-    ``[0, 2**32)``.  Array entries broadcast together, and the result is
-    then a ``uint64`` array with one seed per row: the seed kernel mixes
-    the path words of every row into the master seed's ``SeedSequence``
-    pool at once.
+    independent and stable across platforms and process counts.
     """
-    if not any(isinstance(entry, np.ndarray) and entry.ndim == 1 for entry in path):
-        state = np.random.SeedSequence(master_seed, spawn_key=path).generate_state(1, np.uint64)
-        return int(state[0])
-    pool = np.random.SeedSequence(master_seed).pool[:, None]
-    words = []
-    for entry in path:
-        if isinstance(entry, np.ndarray) and entry.ndim == 1:
-            if entry.dtype.kind not in "iu":
-                raise TypeError("array path entries must hold integers")
-            if entry.size and (entry.min() < 0 or entry.max() > _MASK32):
-                raise ValueError("array path entries must lie in [0, 2**32)")
-            words.append(entry.astype(np.uint32))
-        else:
-            words.extend(_int_words(entry))
-    # A spawned SeedSequence zero-pads its entropy to the pool size, so the
-    # path words start after the master seed's words, at word 4 or later.
-    mixed = max(_POOL_SIZE, len(_int_words(master_seed)))
-    return _join_words(*_seed_sequence_state(words, 2, pool, mixed))
-
-
-def _int_words(value: int) -> list[int]:
-    """The 32-bit words SeedSequence makes of a non-negative integer, least
-    significant first; 0 is one word."""
-    if not isinstance(value, (int, np.integer)):
-        raise TypeError(f"seeds and path entries must be integers, not {type(value).__name__}")
-    value = int(value)
-    if value < 0:
-        raise ValueError("seeds and path entries must be non-negative")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+    state = np.random.SeedSequence(master_seed, spawn_key=path).generate_state(1, np.uint64)
+    return int(state[0])
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,8 +114,7 @@ def _seed_sequence_state(entropy: list, n_words: int, pool: np.ndarray | None = 
                          mixed: int = 0) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(n_words)``, for every row at once.
 
-    Each entropy word is a uint32 array with one value per row, or an
-    ``int``, the same on every row; words broadcast together, and words
+    Each entropy word is a uint32 array with one value per row; words
     missing below the pool size hash as 0, as in numpy.  The pool is one
     ``(4, rows)`` uint32 array: a pool word is hashed into its three
     destinations in one step, a further entropy word into all four pool
@@ -189,20 +149,26 @@ def _join_words(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)
 
 
-def _pcg64_states(seeds) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, uint64)`` of each seed, as rows.
+def _pcg64_states(seed: int) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, uint64)``, as a ``(1, 4)`` row."""
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)[None]
 
-    ``seeds`` is one non-negative ``int``, whose one row comes from that
-    ``SeedSequence``, or a ``uint64`` array, whose rows come from the seed
-    kernel.  An array seed enters as two words; a zero high word hashes
-    exactly as the padding of a seed below 2**32, which SeedSequence makes
-    one word.
+
+def _column_states(master_seed: int, trials: np.ndarray, roles: np.ndarray) -> np.ndarray:
+    """``_pcg64_states(derive_seed(master_seed, trial, role))`` of every row,
+    as a ``(rows, 4)`` uint64 array.
+
+    ``trials`` and ``roles`` are uint32 arrays, one (trial, role) a row.
+    Pass 1 mixes each row's two path words into the master seed's own
+    ``SeedSequence`` pool, after its ``max(4, words)`` words, and makes the
+    seed's two 32-bit words.  Pass 2 takes those words as a new
+    ``SeedSequence``'s entropy: a zero high word hashes exactly as the
+    padding of a seed below 2**32, which SeedSequence makes one word.
     """
-    if not isinstance(seeds, np.ndarray):
-        return np.random.SeedSequence(seeds).generate_state(4, np.uint64)[None]
-    seeds = seeds.astype(np.uint64)
-    entropy = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
-    words = _seed_sequence_state(entropy, 8)
+    pool = np.random.SeedSequence(master_seed).pool[:, None]
+    mixed = max(_POOL_SIZE, -(-int(master_seed).bit_length() // 32))
+    seed_words = _seed_sequence_state([trials, roles], 2, pool, mixed)
+    words = _seed_sequence_state(list(seed_words), 8)
     return np.ascontiguousarray(_join_words(words[0::2], words[1::2]).T)
 
 
@@ -210,7 +176,7 @@ _STATE_WORDS: type | None = None
 
 
 def _bit_generators(states: np.ndarray) -> list:
-    """One ``numpy.random.PCG64`` per row of :func:`_pcg64_states`, each in
+    """One ``numpy.random.PCG64`` per row of state words, each in
     the state the bit generator of ``default_rng(seed)`` starts in."""
     global _STATE_WORDS
     if _STATE_WORDS is None:

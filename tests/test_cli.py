@@ -424,6 +424,7 @@ _PLAN_RULES = [
     ("mismatch_db", {"sigma_w2_true": 1e300, "mismatch_db": np.float64(30.0)}),
     ("mismatch_db", {"mismatch_db": 3020.0}),
     ("sigma_s2", {"sigma_s2": np.float64(1e303)}),
+    ("n_trials", {"n_trials": 2**32 + 1}),
 ]
 
 
@@ -469,6 +470,8 @@ def test_a_power_out_of_the_plans_range_exits_two(argv, flag, tmp_path, capsys):
     assert main(argv + _sweep_out(argv, tmp_path)) == 2
     out, err = capsys.readouterr()
     assert f"specsense: error: {flag}" in err and out == ""
+    if flag.startswith("snr"):  # the dB value typed, not the power it sets
+        assert err.endswith("(got 3070.0)\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -197,6 +197,21 @@ def test_failed_rows_fail_exactly_their_trials(monkeypatch):
     assert len(calls) == n_calls
 
 
+def test_mean_noise_estimate_is_finite_when_its_sum_overflows():
+    # 800 000 dynamic trials at a noise power of 1.5e302 pass every plan rule,
+    # which bounds one trial's sums, but their 1.6e6 estimates sum past the
+    # float range: the point once reported mean_sigma_hat2 = inf.
+    plan = _static_plan(mode=ThresholdMode.DYNAMIC, n_trials=800_000)
+    chunks = plan.n_trials // harness._CHUNK
+    r = harness._point_result(plan, [(1, 0, 0, 2 * harness._CHUNK * 1.5e302)] * chunks)
+    assert r.mean_sigma_hat2 == pytest.approx(1.5e302, rel=1e-12)
+    # Summed at an exact power-of-two scale, the mean rounds once, as an
+    # unbounded sum would.
+    plan = replace(plan, n_trials=3 * harness._CHUNK)
+    tallies = [(0, 0, 0, 2.0**1023), (0, 0, 0, 2.0**1023), (0, 0, 0, 2.0**1022)]
+    assert harness._point_result(plan, tallies).mean_sigma_hat2 == 1.25 * 2.0**1023 / 384
+
+
 def _reference_point(plan: TrialPlan) -> PointResult:
     """run_point rebuilt from single-frame calls, one trial at a time.
 
@@ -539,14 +554,14 @@ def test_sweep_derives_each_chunks_states_once(monkeypatch):
     # Every plan of a factor sweep reads the same (master_seed, trial, role)
     # substreams, so each chunk's generator states are derived once for all
     # twelve plans, not once per plan.
-    real = harness._pcg64_states
+    real = harness._column_states
     calls = []
 
-    def counting(seeds):
-        calls.append(len(seeds))
-        return real(seeds)
+    def counting(master_seed, trials, roles):
+        calls.append(len(trials))
+        return real(master_seed, trials, roles)
 
-    monkeypatch.setattr(harness, "_pcg64_states", counting)
+    monkeypatch.setattr(harness, "_column_states", counting)
     factors, snrs = [1.0, 1.5, 2.0, 2.5], [-6.0, -2.0, 0.0]
     for n_trials, chunks in ((harness._CHUNK, 1), (300, 3)):
         plan = _static_plan(n_trials=n_trials)
