@@ -32,12 +32,12 @@ run sense --mode dynamic --config shared.cfg > shared-sense.txt
 run estimate-noise --config shared.cfg > shared-estimate-noise.txt
 run sweep-pfa --quick --config shared.cfg --out shared_pfa > /dev/null
 # The factor sweep puts many plans on each chunk across the pool.  The pfa
-# sweep's 7 targets, each running both modes on its one chunk, are 7 units
-# on a pool of 2.
+# sweep's 7 targets and both modes are one group of plans, so its 300
+# trials are 3 units, one per chunk, on a pool of 2.
 for w in 1 2; do
   run sweep-snr --quick --trials 1000 --snr-min 0 --snr-max 0 --workers $w --out smoke_w$w
   run sweep-factor --quick --trials 1000 --snr-min -4 --snr-max 0 --workers $w --out factor_w$w
-  run sweep-pfa --quick --trials 1000 --workers $w --out pfa_w$w
+  run sweep-pfa --quick --trials 3000 --workers $w --out pfa_w$w
 done > /dev/null
 for mode in static dynamic; do
   cmp smoke_w1_$mode.csv smoke_w2_$mode.csv
@@ -47,9 +47,9 @@ for csv in factor_w1_factor_*.csv; do
   cmp "$csv" "factor_w2${csv#factor_w1}"
 done
 # A master seed of five 32-bit words (2**128 + 1): the seed kernel mixes a
-# trial's words into its pool after all five.
+# trial's words into its pool after all five.  3 units again, on a pool of 2.
 for w in 1 2; do
-  run sweep-pfa --quick --trials 1000 --seed 340282366920938463463374607431768211457 \
+  run sweep-pfa --quick --trials 3000 --seed 340282366920938463463374607431768211457 \
     --workers $w --out seed5_w$w > /dev/null
 done
 for mode in static dynamic; do

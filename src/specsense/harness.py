@@ -8,9 +8,10 @@ output byte-identical across reruns.
 
 Trials run in chunks of ``_CHUNK`` and, inside a chunk, in blocks of
 ``_BLOCK``.  The unit of work a worker process takes is one chunk of a
-group of plans that differ only in ``mode``, such as the static and the
-dynamic plan of one point of a both-modes sweep: the group shares the
-chunk's trials, and every plan of a call shares each chunk's generator
+group of plans that differ only in ``mode`` and ``target_pfa``, such as the
+static and the dynamic plan of one point of a both-modes sweep, or every
+plan of a ``sweep_pfa``: the group shares the chunk's trials and its noise
+estimates, and every plan of a call shares each chunk's generator
 states (:func:`_run_points` says how units are ordered and pooled).  A
 chunk allocates one stream workspace, a stack of ``2 * _BLOCK`` streams.
 A block writes the H1 and H0 streams of its trials into a leading slice
@@ -349,12 +350,13 @@ def sense_once(
 
 def _run_chunk(plans: Sequence[TrialPlan], start: int) -> list[_Tally]:
     """Run the chunk of trials from ``start`` for plans that differ only in
-    ``mode``, block by block; returns one tally per plan.
+    ``mode`` and ``target_pfa``, block by block; returns one tally per plan.
 
     Each block synthesizes its trials once for every plan, at the width
-    their readers need, and takes the energy statistics once.  STATIC plans
-    compare them with the static threshold; DYNAMIC plans share one stacked
-    noise estimate.  A DYNAMIC plan's trial fails, and counts in neither
+    their readers need, and takes the energy statistics once.  Each plan
+    compares them with its own threshold: STATIC plans with the static
+    threshold, DYNAMIC plans with one set from a stacked noise estimate
+    that they all share.  A DYNAMIC plan's trial fails, and counts in neither
     rate, when the noise estimate of its H1 or its H0 frame fails.
     """
     plan = plans[0]
@@ -432,7 +434,8 @@ def _run_points(plans: Sequence[TrialPlan],
     failure guard tripped; and the first such plan's failure message, or None.
 
     A work unit is one chunk of trials of a group of plans that differ only
-    in ``mode``: the group synthesizes each trial once for all its plans.
+    in ``mode`` and ``target_pfa``: the group synthesizes and estimates each
+    trial once for all its plans.
     Units run chunk-major: every group's unit for chunk 0, in the order of
     the groups' first plans, then every group's unit for chunk 1, and so
     on.  A chunk's generator states depend only on the master seed, the
@@ -447,12 +450,13 @@ def _run_points(plans: Sequence[TrialPlan],
     plan's are reduced in chunk order.  Every unit runs before any plan is
     reduced.
     """
-    # The key is every field of the plan but its mode (a plan of the other
-    # mode might break that mode's rules); the value, the indices of the
-    # plans it stands for.
+    # The key is every field of the plan but the two only thresholds read
+    # (a plan with the other's values might break the plan rules); the
+    # value, the indices of the plans it stands for.
     groups: dict[tuple, list[int]] = {}
     for index, plan in enumerate(plans):
-        key = tuple(getattr(plan, f) for f in TrialPlan.__dataclass_fields__ if f != "mode")
+        key = tuple(getattr(plan, f) for f in TrialPlan.__dataclass_fields__
+                    if f not in ("mode", "target_pfa"))
         groups.setdefault(key, []).append(index)
     units = [  # (indices of the group's plans, first trial of the chunk)
         (members, start)

@@ -26,6 +26,7 @@ each row's estimate is bit-for-bit the single-frame estimate of that frame.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +71,10 @@ class CovarianceMatrix:
             raise ValueError("covariance must be square")
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be positive")
-        if np.max(np.abs(a - a.conj().T)) > 1e-12 * max(1.0, float(np.abs(a).max())):
+        h = a.conj().T
+        # Exact symmetry first: the tolerance is needed only when it fails
+        # (and always for a NaN entry, which equals nothing).
+        if not (a == h).all() and np.max(np.abs(a - h)) > 1e-12 * max(1.0, float(np.abs(a).max())):
             raise ValueError("covariance must be Hermitian")
 
     @property
@@ -133,9 +137,11 @@ def sample_covariance(frm: SampleFrame) -> CovarianceMatrix:
 def _spectra(cov: np.ndarray) -> np.ndarray:
     """Descending, clamped eigenvalues of a (B, L, L) stack; see eigenvalues_hermitian."""
     eigs = np.linalg.eigvalsh(cov)[:, ::-1]
-    trace = np.trace(cov, axis1=1, axis2=2).real
-    if (eigs[:, -1] < -1e-10 * np.maximum(trace, 1e-300)).any():
-        raise ValueError("matrix is not positive semidefinite")
+    # The bound is below zero, so only a negative eigenvalue can break it.
+    if (eigs[:, -1] < 0.0).any():
+        trace = np.trace(cov, axis1=1, axis2=2).real
+        if (eigs[:, -1] < -1e-10 * np.maximum(trace, 1e-300)).any():
+            raise ValueError("matrix is not positive semidefinite")
     return np.maximum(eigs, 0.0)
 
 
@@ -149,20 +155,37 @@ def eigenvalues_hermitian(cov: CovarianceMatrix) -> EigenSpectrum:
     return EigenSpectrum(values=tuple(_spectra(cov.entries[None])[0].tolist()))
 
 
+@functools.lru_cache(maxsize=16)
+def _mdl_constants(size: int, n_snapshots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The data-free vectors of the MDL criterion over splits k = 0 .. size-1.
+
+    Returns ``(size - k, -(size - k) * n_snapshots, penalty)`` as read-only
+    float64 arrays, each value as the criterion's own integer or float
+    arithmetic gives it.
+    """
+    k = np.arange(size)
+    vectors = [np.asarray(v, np.float64) for v in (
+        size - k,
+        -(size - k) * n_snapshots,
+        0.5 * k * (2 * size - k) * math.log(n_snapshots),
+    )]
+    for v in vectors:
+        v.flags.writeable = False
+    return tuple(vectors)
+
+
 def _mdl_counts(lam: np.ndarray, n_snapshots: int) -> np.ndarray:
     """MDL signal count of every row of a (B, L) stack of descending spectra.
 
-    The tail sums of every split come from one reversed cumulative sum along
+    The tail sums of every split come from a reversed cumulative sum along
     each row, which adds a row's own entries only, so each row scores
     exactly as it would alone.
     """
-    size = lam.shape[1]
-    k = np.arange(size)
-    tails = np.stack([np.log(np.maximum(lam, _LOG_FLOOR)), lam])
+    counts, scale, penalty = _mdl_constants(lam.shape[1], n_snapshots)
     # log of the geometric mean and arithmetic mean of lam[:, k:]
-    geo, ari = np.cumsum(tails[:, :, ::-1], axis=2)[:, :, ::-1] / (size - k)
-    data_term = -(size - k) * n_snapshots * (geo - np.log(np.maximum(ari, _LOG_FLOOR)))
-    penalty = 0.5 * k * (2 * size - k) * math.log(n_snapshots)
+    geo = np.cumsum(np.log(np.maximum(lam, _LOG_FLOOR))[:, ::-1], axis=1)[:, ::-1] / counts
+    ari = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1] / counts
+    data_term = scale * (geo - np.log(np.maximum(ari, _LOG_FLOOR)))
     return np.argmin(data_term + penalty, axis=1)  # first minimum: smallest K wins ties
 
 
@@ -256,9 +279,8 @@ def _mp_cdf_unit(z: np.ndarray, p: float) -> np.ndarray:
     np.multiply(u, q, out=u)
     np.subtract(t, u, out=t)
     np.divide(t, 2.0 * math.pi * p, out=t)
-    np.add(t, 0.5, out=t)
-    np.maximum(t, 0.0, out=t)
-    np.minimum(t, 1.0, out=t)
+    np.add(t, 0.5, out=t)  # never -0.0, the one value clip keeps and maximum does not
+    np.clip(t, 0.0, 1.0, out=t)
     np.copyto(t, 0.0, where=z <= a)
     np.copyto(t, 1.0, where=z >= b)
     return t

@@ -580,6 +580,28 @@ def test_sweep_derives_each_chunks_states_once(monkeypatch):
         assert sweep_threshold_factor(plan, factors, snrs, workers=workers) == curves
 
 
+def test_sweep_pfa_synthesizes_each_block_once_for_all_targets(monkeypatch):
+    # Plans that differ only in mode and target_pfa share their work units,
+    # so a both-modes sweep over three targets synthesizes (and estimates)
+    # each block once, not once per target.
+    real = harness._synthesize
+    blocks = []
+
+    def counting(plan, states, out):
+        blocks.append(len(states))
+        return real(plan, states, out)
+
+    monkeypatch.setattr(harness, "_synthesize", counting)
+    plan = _static_plan(n_trials=harness._CHUNK + harness._BLOCK + 1, n=32, l=6,
+                        mismatch_db=3.0)
+    targets = [0.05, 0.1, 0.2]
+    curves = sweep_pfa(plan, targets)
+    assert blocks == [harness._BLOCK] * (harness._CHUNK // harness._BLOCK + 1) + [1]
+    for mode, curve in curves.items():
+        assert list(curve.points) == [run_point(replace(plan, mode=mode, target_pfa=target))
+                                      for target in targets]
+
+
 def test_import_leaves_the_pool_module_unloaded():
     # Only a call that starts a process pool imports concurrent.futures, only
     # a call that sets a threshold imports statistics, and only a call that

@@ -25,6 +25,7 @@ from specsense.noise_estimator import (
     _fit_scores,
     _fit_spectra,
     _linear_grid,
+    _mdl_constants,
     _mdl_counts,
     _mp_cdf_unit,
     eigenvalues_hermitian,
@@ -78,6 +79,16 @@ def test_covariance_matrix_rejects_non_hermitian():
     bad = np.array([[1.0, 2.0], [3.0, 1.0]], dtype=np.complex128)
     with pytest.raises(ValueError):
         CovarianceMatrix(entries=bad, n_snapshots=4)
+    # The tolerance is 1e-12 of the largest entry's size (at least 1).
+    m = np.array([[2.0, 0.5 + 0.25j], [0.5 - 0.25j, 1.0]])
+    for off, accepted in ((1e-13, True), (1e-9, False)):
+        skewed = m.copy()
+        skewed[0, 1] += off
+        if accepted:
+            assert CovarianceMatrix(entries=skewed, n_snapshots=4).l == 2
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                CovarianceMatrix(entries=skewed, n_snapshots=4)
 
 
 # ---------------------------------------------------------------- eigensolver
@@ -148,6 +159,25 @@ def test_eigenvalue_trace_identity():
         )
 
 
+def _rotated(diagonal: list[float], seed: int) -> CovarianceMatrix:
+    """An exactly Hermitian Q diag(diagonal) Q^H for a random unitary Q."""
+    rng = np.random.default_rng(seed)
+    l = len(diagonal)
+    q, _ = np.linalg.qr(rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
+    m = (q * np.array(diagonal)) @ q.conj().T
+    return CovarianceMatrix(entries=0.5 * (m + m.conj().T), n_snapshots=2 * l)
+
+
+def test_eigenvalues_reject_a_matrix_that_is_not_psd():
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        eigenvalues_hermitian(_rotated([3.0, 1.0, 0.5, -0.5], 3))
+    # The bound is -1e-10 of the trace: a rounding-size negative eigenvalue,
+    # about -1e-12 of it, passes and is clamped to zero.
+    values = eigenvalues_hermitian(_rotated([3.0, 1.0, 0.5, -4.5e-12], 4)).values
+    assert values[-1] == 0.0
+    np.testing.assert_allclose(values[:3], [3.0, 1.0, 0.5], rtol=1e-12)
+
+
 def test_eigen_spectrum_validation():
     with pytest.raises(ValueError):
         EigenSpectrum(values=(1.0, 2.0))  # ascending
@@ -196,6 +226,19 @@ def test_stacked_mdl_counts_equal_each_row_alone(data, l, rows, n):
     counts = _mdl_counts(lam, n)
     for row, count in zip(lam, counts):
         assert count == mdl_signal_count(EigenSpectrum(values=tuple(row)), n)
+
+
+def test_mdl_constants_are_shared_read_only():
+    counts, scale, penalty = _mdl_constants(6, 50)
+    assert _mdl_constants(6, 50)[0] is counts  # cached: every caller shares them
+    k = np.arange(6)
+    np.testing.assert_array_equal(counts, 6 - k)
+    np.testing.assert_array_equal(scale, -(6 - k) * 50)
+    np.testing.assert_array_equal(penalty, 0.5 * k * (12 - k) * math.log(50))
+    for v in (counts, scale, penalty):
+        assert v.dtype == np.float64 and not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
 
 
 def test_mdl_zero_eigenvalues_do_not_crash():

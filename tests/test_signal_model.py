@@ -110,9 +110,15 @@ def _column(master_seed: int, rows: list[tuple[int, int]]) -> np.ndarray:
     return _column_states(master_seed, trials, roles)
 
 
+# The word count first, 1 to 5 alike: the kernel mixes a trial's words into
+# the pool after max(4, words) words, so five-word seeds take their own path.
+_MASTER_SEEDS = st.integers(1, 5).flatmap(
+    lambda words: st.integers(2 ** (32 * words - 32) if words > 1 else 0, 2 ** (32 * words) - 1))
+
+
 @settings(derandomize=True, deadline=None)
 @given(
-    master_seed=st.integers(0, 2**160 - 1),
+    master_seed=_MASTER_SEEDS,
     rows=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2)), min_size=1,
                   max_size=12),
 )
