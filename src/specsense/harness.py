@@ -450,9 +450,10 @@ def _run_points(plans: Sequence[TrialPlan],
     plan's are reduced in chunk order.  Every unit runs before any plan is
     reduced.
     """
-    # The key is every field of the plan but the two only thresholds read
-    # (a plan with the other's values might break the plan rules); the
-    # value, the indices of the plans it stands for.
+    # The key is every field of the plan but mode and target_pfa, which only
+    # its threshold reads (a plan with another member's values in their
+    # place might break the plan rules); the value, the indices of the
+    # plans it stands for.
     groups: dict[tuple, list[int]] = {}
     for index, plan in enumerate(plans):
         key = tuple(getattr(plan, f) for f in TrialPlan.__dataclass_fields__
