@@ -12,6 +12,9 @@ cli=("$@")
 run --help > /dev/null
 run sense --mode dynamic > sense.txt
 run sense --mode dynamic --hypothesis h0 > sense-dynamic-h0.txt
+run sense --mode static > sense-static.txt
+run sense --mode static --hypothesis h0 > sense-static-h0.txt
+run sense --mode static --nominal 1.7 --pfa 0.03 > sense-static-nominal.txt
 run estimate-noise > estimate-noise.txt
 run estimate-noise --hypothesis h1 --snr 3 > estimate-noise-h1.txt
 run estimate-noise --l 16 --n 256 --m-grid 200 > estimate-noise-l16.txt

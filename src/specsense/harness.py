@@ -7,20 +7,22 @@ per-chunk diagnostics are reduced in fixed chunk order, which keeps CSV
 output byte-identical across reruns.
 
 Trials run in chunks of ``_CHUNK`` and, inside a chunk, in blocks of
-``_BLOCK``.  The unit of work a worker process takes is one chunk of a
-group of plans that differ only in ``mode`` and ``target_pfa``, such as the
-static and the dynamic plan of one point of a both-modes sweep, or every
-plan of a ``sweep_pfa``: the group shares the chunk's trials and its noise
+``_BLOCK``.  A plan is a scenario, what its trials draw, and a receiver,
+which decides a trial against ``scale * unit`` (:func:`_receiver`).  The
+unit of work a worker process takes is one chunk of one scenario with the
+receivers of every plan that shares it, such as the static and the
+dynamic plan of one point of a both-modes sweep, or every plan of a
+``sweep_pfa``: the receivers share the chunk's trials and its noise
 estimates, and every plan of a call shares each chunk's generator
 states (:func:`_run_points` says how units are ordered and pooled).  A
 chunk allocates one stream workspace, a stack of ``2 * _BLOCK`` streams.
 A block writes the H1 and H0 streams of its trials into a leading slice
-of it, holding only what the group reads (:func:`_synthesize`).
+of it, holding only what the receivers read (:func:`_synthesize`).
 Synthesis makes no temporary the size of the stack, so blocks do not
 hand such memory back to the system and fault it in again.  A block then
-runs each pipeline stage once over the stack for all the group's plans:
-the energy statistics, then for DYNAMIC plans one stacked blind noise
-estimate (covariance, eigenvalues, MDL split, Marchenko-Pastur fit).
+runs each pipeline stage once over the stack for all the receivers:
+the energy statistics, then, if a receiver scales by it, one stacked blind
+noise estimate (covariance, eigenvalues, MDL split, Marchenko-Pastur fit).
 Each row of a stacked stage is bit-for-bit the single-frame result, and
 the noise estimates are summed trial by trial in trial order, so a
 point's result depends neither on the block size nor on the plans beside
@@ -45,7 +47,6 @@ from .detector import (
     decide,
     dynamic_threshold,
     energy_statistic,
-    static_threshold,
 )
 from .noise_estimator import NoiseEstimate, estimate_noise, estimate_noise_batch
 from .signal_model import (
@@ -193,9 +194,9 @@ class TrialPlan:
         check("sigma_w2_true", sigma_w2 >= _POWER_MIN,
               f"too small, a noise power below {_POWER_MIN:.4g} is not estimated exactly")
         check("sigma_nominal2", nominal > 0.0, "must be positive")
-        check("sigma_nominal2", self.mode is not ThresholdMode.STATIC or math.isfinite(
-            static_threshold(nominal, self.target_pfa, self.n)),
-            "too large, the static threshold it sets is not finite")
+        scale, unit = _receiver(self)
+        check("sigma_nominal2", scale is None or math.isfinite(scale * unit),
+              "too large, the static threshold it sets is not finite")
         check("sigma_s2", sigma_s2 >= 0.0, "must be non-negative")
         check("master_seed", self.master_seed >= 0, "must be non-negative")
         check("m_grid", self.m_grid >= 2, "must be at least 2")
@@ -322,6 +323,15 @@ def _synthesize(plan: TrialPlan, states: np.ndarray, out: np.ndarray) -> list[fl
     return sigma_true
 
 
+def _receiver(plan: TrialPlan) -> tuple[float | None, float]:
+    """``(scale, unit)``: ``plan`` detects where the energy statistic exceeds
+    ``scale * unit``, bit for bit ``dynamic_threshold(scale, ...)`` since the
+    law is linear in the noise power.  ``scale`` is the nominal power in
+    STATIC mode, and None, the trial's noise estimate, in DYNAMIC mode."""
+    scale = float(plan.sigma_nominal2) if plan.mode is ThresholdMode.STATIC else None
+    return scale, dynamic_threshold(1.0, plan.target_pfa, plan.n)
+
+
 def sense_once(
     plan: TrialPlan, hypothesis: Hypothesis = Hypothesis.H1
 ) -> tuple[SensingDecision, NoiseEstimate | None]:
@@ -339,47 +349,37 @@ def sense_once(
     y1, y0, _ = synthesize_pair(plan, 0)
     stream = y1 if hypothesis is Hypothesis.H1 else y0
     statistic = energy_statistic(stream[: plan.n])
+    scale, unit = _receiver(plan)
     estimate = None
-    if plan.mode is ThresholdMode.DYNAMIC:
+    if scale is None:
         estimate = estimate_noise(frame(stream, plan.l, plan.n), plan.m_grid)
-        threshold = dynamic_threshold(estimate.sigma_hat2, plan.target_pfa, plan.n)
-    else:
-        threshold = static_threshold(plan.sigma_nominal2, plan.target_pfa, plan.n)
-    return decide(statistic, threshold), estimate
+        scale = estimate.sigma_hat2
+    return decide(statistic, scale * unit), estimate
 
 
-def _run_chunk(plans: Sequence[TrialPlan], start: int) -> list[_Tally]:
-    """Run the chunk of trials from ``start`` for plans that differ only in
-    ``mode`` and ``target_pfa``, block by block; returns one tally per plan.
+def _run_chunk(plan: TrialPlan, receivers: Sequence[tuple[float | None, float]],
+               start: int) -> list[_Tally]:
+    """Run the chunk of trials from ``start`` of ``plan``'s scenario for each
+    of ``receivers`` (:func:`_receiver`), block by block; one tally each.
 
-    Each block synthesizes its trials once for every plan, at the width
-    their readers need, and takes the energy statistics once.  Each plan
-    compares them with its own threshold: STATIC plans with the static
-    threshold, DYNAMIC plans with one set from a stacked noise estimate
-    that they all share.  A DYNAMIC plan's trial fails, and counts in neither
-    rate, when the noise estimate of its H1 or its H0 frame fails.
+    Each block synthesizes its trials once, at the width the receivers
+    read, and takes the energy statistics once.  A receiver whose scale is
+    None scales by a stacked noise estimate that all such receivers share;
+    its trial fails, and counts in neither rate, when the noise estimate of
+    its H1 or its H0 frame fails.
     """
-    plan = plans[0]
     stop = min(start + _CHUNK, plan.n_trials)
-    dynamic = [p.mode is ThresholdMode.DYNAMIC for p in plans]
-    # dynamic_threshold is linear in the noise power: sigma * this is
-    # bit-for-bit dynamic_threshold(sigma, ...).
-    thresholds = [
-        dynamic_threshold(1.0, p.target_pfa, p.n) if d
-        else static_threshold(p.sigma_nominal2, p.target_pfa, p.n)
-        for p, d in zip(plans, dynamic)
-    ]
-    detections = [[0, 0] for _ in plans]  # per plan: h1 and h0 detections
+    detections = [[0, 0] for _ in receivers]  # per receiver: h1 and h0 detections
     sigma_sum = 0.0
     estimated = 0  # trials whose two noise estimates both succeeded
 
-    # A static plan reads only the first n real parts of each stream: bit
-    # for bit the real parts of a full stream's prefix.
-    any_dynamic = any(dynamic)
-    n_samples = plan.l * plan.n if any_dynamic else plan.n
+    # A receiver with a fixed scale reads only the first n real parts of
+    # each stream: bit for bit the real parts of a full stream's prefix.
+    estimates = any(scale is None for scale, _ in receivers)
+    n_samples = plan.l * plan.n if estimates else plan.n
     states = _trial_states(plan, start, stop)
     workspace = np.empty((min(_BLOCK, stop - start), 2, n_samples),
-                         np.complex128 if any_dynamic else np.float64)
+                         np.complex128 if estimates else np.float64)
     for first in range(0, stop - start, _BLOCK):
         block = states[first : first + _BLOCK]
         stack = workspace[: len(block)]
@@ -387,20 +387,20 @@ def _run_chunk(plans: Sequence[TrialPlan], start: int) -> list[_Tally]:
         # Rows 2i and 2i + 1 are the H1 and H0 streams of the block's trial i.
         streams = stack.reshape(-1, n_samples)
         energies = _energies(streams[:, : plan.n]).reshape(-1, 2)
-        if any_dynamic:
+        if estimates:
             frames = streams.reshape(-1, plan.n, plan.l).transpose(0, 2, 1)
             sigma = estimate_noise_batch(frames, plan.m_grid).reshape(-1, 2)
             ok = ~np.isnan(sigma).any(axis=1)
             for s1, s0 in sigma[ok].tolist():
                 sigma_sum += s1 + s0
             estimated += int(np.count_nonzero(ok))
-        for counts, d, threshold in zip(detections, dynamic, thresholds):
-            detected = energies[ok] > sigma[ok] * threshold if d else energies > threshold
+        for counts, (scale, unit) in zip(detections, receivers):
+            detected = energies[ok] > sigma[ok] * unit if scale is None else energies > scale * unit
             counts[0] += int(np.count_nonzero(detected[:, 0]))
             counts[1] += int(np.count_nonzero(detected[:, 1]))
     failed = stop - start - estimated
-    return [(h1, h0, failed, sigma_sum) if d else (h1, h0, 0, 0.0)
-            for (h1, h0), d in zip(detections, dynamic)]
+    return [(h1, h0, failed, sigma_sum) if scale is None else (h1, h0, 0, 0.0)
+            for (h1, h0), (scale, _) in zip(detections, receivers)]
 
 
 def _point_result(plan: TrialPlan, tallies: Sequence[_Tally]) -> PointResult | None:
@@ -433,9 +433,9 @@ def _run_points(plans: Sequence[TrialPlan],
     """Run every plan: one point result per plan, in plan order, None where the
     failure guard tripped; and the first such plan's failure message, or None.
 
-    A work unit is one chunk of trials of a group of plans that differ only
-    in ``mode`` and ``target_pfa``: the group synthesizes and estimates each
-    trial once for all its plans.
+    A work unit is one chunk of trials of one scenario with the receivers
+    of a group of plans that differ only in ``mode`` and ``target_pfa``: it
+    synthesizes and estimates each trial once for all of them.
     Units run chunk-major: every group's unit for chunk 0, in the order of
     the groups' first plans, then every group's unit for chunk 1, and so
     on.  A chunk's generator states depend only on the master seed, the
@@ -450,10 +450,7 @@ def _run_points(plans: Sequence[TrialPlan],
     plan's are reduced in chunk order.  Every unit runs before any plan is
     reduced.
     """
-    # The key is every field of the plan but mode and target_pfa, which only
-    # its threshold reads (a plan with another member's values in their
-    # place might break the plan rules); the value, the indices of the
-    # plans it stands for.
+    # Key: every field but mode and target_pfa; value: the indices of its plans.
     groups: dict[tuple, list[int]] = {}
     for index, plan in enumerate(plans):
         key = tuple(getattr(plan, f) for f in TrialPlan.__dataclass_fields__
@@ -464,6 +461,7 @@ def _run_points(plans: Sequence[TrialPlan],
         for start in range(0, max((plan.n_trials for plan in plans), default=0), _CHUNK)
         for members in groups.values() if start < plans[members[0]].n_trials
     ]
+    receivers = [_receiver(plan) for plan in plans]
     workers = min(workers, len(units))
     pool = None
     if workers > 1:
@@ -472,8 +470,9 @@ def _run_points(plans: Sequence[TrialPlan],
         pool = concurrent.futures.ProcessPoolExecutor(workers)
     try:
         run = map if pool is None else pool.map
-        unit_tallies = run(_run_chunk, [tuple(plans[index] for index in members)
-                                        for members, _ in units], [start for _, start in units])
+        unit_tallies = run(_run_chunk, [plans[members[0]] for members, _ in units],
+                           [[receivers[index] for index in members] for members, _ in units],
+                           [start for _, start in units])
         tallies: list[list[_Tally]] = [[] for _ in plans]  # per plan, in chunk order
         for (members, _), unit in zip(units, unit_tallies):
             for index, tally in zip(members, unit):

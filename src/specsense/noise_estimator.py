@@ -71,9 +71,10 @@ class CovarianceMatrix:
             raise ValueError("covariance must be square")
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be positive")
+        if not np.isfinite(a).all():
+            raise ValueError("covariance entries must be finite")
         h = a.conj().T
-        # Exact symmetry first: the tolerance is needed only when it fails
-        # (and always for a NaN entry, which equals nothing).
+        # Exact symmetry first: the tolerance is needed only when it fails.
         if not (a == h).all() and np.max(np.abs(a - h)) > 1e-12 * max(1.0, float(np.abs(a).max())):
             raise ValueError("covariance must be Hermitian")
 
@@ -92,6 +93,8 @@ class EigenSpectrum:
         v = self.values
         if len(v) < 1:
             raise ValueError("spectrum is empty")
+        if not all(math.isfinite(x) for x in v):
+            raise ValueError("spectrum must be finite")
         if any(b > a for a, b in zip(v, v[1:])):
             raise ValueError("spectrum must be sorted descending")
         if any(x < 0.0 for x in v):

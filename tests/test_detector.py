@@ -107,9 +107,15 @@ def test_static_threshold_reference_values():
         assert abs(got - expected) < 1e-9
 
 
-def test_threshold_scales_linearly_with_noise_power():
-    base = dynamic_threshold(1.0, 0.1, 128)
-    np.testing.assert_allclose(dynamic_threshold(2.5, 0.1, 128), 2.5 * base, rtol=1e-14)
+@settings(max_examples=300, deadline=None)
+@given(scale=st.floats(0.0, exclude_min=True, allow_infinity=False), p=_OPEN_UNIT,
+       n=st.integers(1, 2**40))
+@example(scale=2.5, p=0.1, n=128)
+@example(scale=5e-324, p=5e-324, n=1)
+@example(scale=1.7976931348623157e308, p=1.0 - 2.0**-53, n=1)
+def test_threshold_scales_linearly_with_noise_power(scale, p, n):
+    # Bit for bit: a threshold is its noise power times the unit-power one.
+    assert dynamic_threshold(scale, p, n) == scale * dynamic_threshold(1.0, p, n)
 
 
 def test_static_equals_dynamic_at_same_power():

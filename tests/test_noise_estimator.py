@@ -89,6 +89,14 @@ def test_covariance_matrix_rejects_non_hermitian():
         else:
             with pytest.raises(ValueError, match="Hermitian"):
                 CovarianceMatrix(entries=skewed, n_snapshots=4)
+    # A NaN compares neither equal nor greater, so the symmetry test alone
+    # lets it through, and eigvalsh gives diag(1, 1, nan) the spectrum (1, 0, 0).
+    off_diagonal = np.eye(3, dtype=np.complex128)
+    off_diagonal[0, 1] = off_diagonal[1, 0] = np.nan
+    for bad in (np.diag([1.0, 1.0, np.nan]), off_diagonal, np.diag([np.inf, 1.0]),
+                np.diag([1.0, complex(1.0, -np.inf)])):
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceMatrix(entries=np.asarray(bad, np.complex128), n_snapshots=4)
 
 
 # ---------------------------------------------------------------- eigensolver
@@ -185,6 +193,9 @@ def test_eigen_spectrum_validation():
         EigenSpectrum(values=(1.0, -0.5))  # negative
     with pytest.raises(ValueError):
         EigenSpectrum(values=())
+    for bad in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            EigenSpectrum(values=bad)
 
 
 # ------------------------------------------------------------------- MDL

@@ -28,11 +28,23 @@ def test_failure_guard_error_is_exported():
 
 
 def test_sense_once_senses_the_hypothesis_it_is_given():
-    plan = specsense.TrialPlan(n_trials=1, mode=specsense.ThresholdMode.STATIC, master_seed=9)
-    h1, h0, _ = specsense.synthesize_pair(plan, 0)
-    decision, estimate = specsense.sense_once(plan, specsense.Hypothesis.H0)
-    assert estimate is None
-    assert decision.statistic == specsense.energy_statistic(h0[: plan.n])
-    default, _ = specsense.sense_once(plan)
-    assert default == specsense.sense_once(plan, specsense.Hypothesis.H1)[0]
-    assert default.statistic == specsense.energy_statistic(h1[: plan.n])
+    for mode in specsense.ThresholdMode:
+        plan = specsense.TrialPlan(n_trials=1, mode=mode, master_seed=9, sigma_nominal2=1.7,
+                                   target_pfa=0.03)
+        h1, h0, _ = specsense.synthesize_pair(plan, 0)
+        for hypothesis, stream in ((specsense.Hypothesis.H0, h0), (specsense.Hypothesis.H1, h1)):
+            decision, estimate = specsense.sense_once(plan, hypothesis)
+            assert decision.statistic == specsense.energy_statistic(stream[: plan.n])
+            if mode is specsense.ThresholdMode.STATIC:
+                assert estimate is None
+                threshold = specsense.static_threshold(plan.sigma_nominal2, plan.target_pfa,
+                                                       plan.n)
+            else:
+                assert estimate == specsense.estimate_noise(
+                    specsense.frame(stream, plan.l, plan.n), plan.m_grid)
+                threshold = specsense.dynamic_threshold(estimate.sigma_hat2, plan.target_pfa,
+                                                        plan.n)
+            # To the bit, and decided as decide() decides.
+            assert decision == specsense.decide(decision.statistic, threshold)
+        default, _ = specsense.sense_once(plan)
+        assert default == specsense.sense_once(plan, specsense.Hypothesis.H1)[0]
