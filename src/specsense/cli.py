@@ -4,7 +4,8 @@ Output to stdout is line-oriented ``key=value`` pairs.  Exit codes:
 0 success, 1 runtime failure, 2 usage or validation error.  Option
 precedence: command-line flags override config-file keys, which override
 the ``SPECSENSE_SEED`` environment fallback (seed only), which overrides
-built-in defaults.
+built-in defaults.  Every source's text is parsed alike (:func:`_coerce`),
+and every error names the flag that sets the value, or ``SPECSENSE_SEED``.
 """
 from __future__ import annotations
 
@@ -78,20 +79,22 @@ class UsageError(Exception):
     """Invalid flag, config key, or value; maps to exit code 2."""
 
 
-def _coerce(key: str, raw: str) -> object:
-    """A config-file value as its option's type."""
+def _coerce(key: str, text: str, name: str | None = None) -> object:
+    """Option ``key``'s value from its text, whichever source gave it.  An
+    error names ``name``, by default the flag (``m-grid`` for ``m_grid``)."""
     kind = _OPTIONS[key][0]
-    value = raw.strip()
+    name = name or key.replace("_", "-")
     if isinstance(kind, tuple):
-        if value.lower() not in kind:
-            raise UsageError(f"{key}: must be one of {', '.join(kind)}, got {raw!r}")
-        return value.lower()
+        if text.lower() not in kind:
+            raise UsageError(f"{name}: must be one of {', '.join(kind)}, got {text!r}")
+        return text.lower()
     try:
-        if kind is bool:
-            return _BOOL_WORDS[value.lower()]
-        return kind(value)
+        value = _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
-        raise UsageError(f"{key}: expected {_KIND_NAMES[kind]}, got {raw!r}") from None
+        raise UsageError(f"{name}: expected {_KIND_NAMES[kind]}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):  # most reach a plan, if at all, in a product
+        raise UsageError(f"{name}: must be finite (got {value})")
+    return value
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -112,7 +115,7 @@ def _read_config_file(path: str) -> dict[str, object]:
         key = raw_key.strip().lower().replace("-", "_")
         if key not in _OPTIONS or key == "config":
             raise UsageError(f"config: unknown key {raw_key.strip()!r} (line {lineno})")
-        values[key] = _coerce(key, raw_value)
+        values[key] = _coerce(key, raw_value.strip())
     return values
 
 
@@ -128,26 +131,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_line, _, _, reads) in _COMMANDS.items():
         # No abbreviations: sweep-pfa would take --pfa, which it does not read, as --pfa-grid.
         p = sub.add_parser(name, help=help_line, allow_abbrev=False)
-        for key in reads:
+        for key in reads:  # every value but a bool's arrives as text, for _coerce
             kind, _, help_text = _OPTIONS[key]
             if kind is bool:
                 spec = {"action": argparse.BooleanOptionalAction}
-            elif isinstance(kind, tuple):
-                spec = {"choices": kind}
             else:
-                spec = {"type": kind}
+                spec = {"metavar": "{%s}" % ",".join(kind)} if isinstance(kind, tuple) else {}
             p.add_argument("--" + key.replace("_", "-"), default=None, help=help_text, **spec)
     return parser
-
-
-def _env_seed() -> int | None:
-    raw = os.environ.get(_ENV_SEED)
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{_ENV_SEED}: expected an integer, got {raw!r}") from None
 
 
 def _merge_options(args: argparse.Namespace) -> dict[str, object]:
@@ -155,23 +146,23 @@ def _merge_options(args: argparse.Namespace) -> dict[str, object]:
     option the command does not read keeps its default, even if the config sets it."""
     reads = _COMMANDS[args.command][3]
     merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
-    env_seed = _env_seed()
-    if env_seed is not None:
-        merged["seed"] = env_seed
-    if args.config is not None:
-        merged.update((key, value) for key, value in _read_config_file(args.config).items()
+    # A bool flag's True or False is a word of _BOOL_WORDS once lower-cased.
+    flags = {key: _coerce(key, str(text)) for key, text in vars(args).items()
+             if key in reads and text is not None}
+    env_seed = os.environ.get(_ENV_SEED, "")
+    if env_seed.strip():  # set but blank is unset
+        merged["seed"] = _coerce("seed", env_seed, _ENV_SEED)
+    if "config" in flags:
+        merged.update((key, value) for key, value in _read_config_file(flags["config"]).items()
                       if key in reads)
-    merged.update((key, value) for key, value in vars(args).items()
-                  if key in reads and value is not None)
+    merged.update(flags)
     return merged
 
 
 def _validate(o: dict[str, object]) -> None:
     """The checks :class:`TrialPlan` cannot make: it sees no pool, and only
-    the plan's powers, not the options they came from."""
-    for key, (kind, _, _) in _OPTIONS.items():  # most reach a plan, if at all, in a product
-        if kind is float and o[key] is not None and not math.isfinite(o[key]):
-            raise UsageError(f"{key.replace('_', '-')}: must be finite (got {o[key]})")
+    the plan's powers, not the options they came from.  :func:`_coerce` has already
+    refused, under its flag, any text not a finite value of its option's kind."""
     if o["trials"] < 1:  # --quick would turn 0 into 100
         raise UsageError(f"trials: must be positive (got {o['trials']})")
     if o["factor"] is not None and o["factor"] <= 0.0:  # the nominal times it hides two negatives
@@ -199,7 +190,7 @@ def _build_plan(o: dict[str, object], snr: str = "snr") -> TrialPlan:
             n=int(o["n"]),
             l=int(o["l"]),
             target_pfa=float(o["pfa"]),
-            mode=ThresholdMode.DYNAMIC if o["mode"] == "dynamic" else ThresholdMode.STATIC,
+            mode=ThresholdMode(o["mode"] or "static"),  # a sweep's curves set their own
             sigma_w2_true=sigma_w2,
             sigma_nominal2=sigma_w2 if o["nominal"] is None else float(o["nominal"]),
             sigma_s2=sigma_s2,
@@ -270,16 +261,8 @@ def _snr_grid(o: dict[str, object]) -> list[float]:
 
 
 def _pfa_grid(o: dict[str, object]) -> list[float]:
-    grid = []
-    for raw in str(o["pfa_grid"]).split(","):
-        try:
-            grid.append(float(raw))
-        except ValueError:
-            raise UsageError(f"pfa-grid: {raw.strip()!r} is not a number") from None
-    for value in grid:  # a plan would name --pfa, not --pfa-grid
-        if not 0.0 < value < 1.0:
-            raise UsageError(f"pfa-grid: entries must be strictly between 0 and 1 (got {value})")
-    return grid
+    # The plan refuses a target outside (0, 1); main names --pfa-grid for it.
+    return [_coerce("pfa", entry, "pfa-grid") for entry in str(o["pfa_grid"]).split(",")]
 
 
 def _cmd_sweep(command: str, o: dict[str, object]) -> int:
@@ -296,7 +279,7 @@ def _cmd_sweep(command: str, o: dict[str, object]) -> int:
             curves = sweep_threshold_factor(plan, factors, grid, workers=workers)
         else:
             sweep = sweep_snr if command == "sweep-snr" else sweep_pfa
-            modes = tuple(ThresholdMode) if o["mode"] is None else (ThresholdMode(o["mode"]),)
+            modes = tuple(ThresholdMode) if o["mode"] is None else (plan.mode,)
             curves = sweep(plan, grid, modes=modes, workers=workers)
     except FailureGuardError as exc:  # write the completed rows, then fail
         curves, failure = exc.curves, exc
@@ -362,8 +345,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"specsense: error: {exc}", file=sys.stderr)
         return 2
     except PlanError as exc:
-        print(f"specsense: error: {_FLAGS.get(exc.field, exc.field)}: {exc.message}",
-              file=sys.stderr)
+        flag = _FLAGS.get(exc.field, exc.field)
+        if flag == "pfa" and args.command == "sweep-pfa":  # its targets come from its grid
+            flag = "pfa-grid"
+        print(f"specsense: error: {flag}: {exc.message}", file=sys.stderr)
         return 2
     except (RuntimeError, OSError, ValueError) as exc:  # EstimationFailure included
         print(f"specsense: failure: {exc}", file=sys.stderr)

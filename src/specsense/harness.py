@@ -195,6 +195,8 @@ class TrialPlan:
               f"too small, a noise power below {_POWER_MIN:.4g} is not estimated exactly")
         check("sigma_nominal2", nominal > 0.0, "must be positive")
         scale, unit = _receiver(self)
+        check("target_pfa", unit > 0.0,
+              f"too large for n={self.n}, the threshold it sets is not positive")
         check("sigma_nominal2", scale is None or math.isfinite(scale * unit),
               "too large, the static threshold it sets is not finite")
         check("sigma_s2", sigma_s2 >= 0.0, "must be non-negative")

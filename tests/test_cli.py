@@ -41,10 +41,12 @@ def test_invalid_pfa_names_flag(capsys):
     assert "pfa" in err and "0" in err and "1" in err
 
 
-def test_invalid_mode_choice_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["sense", "--mode", "sideways"])
-    assert exc.value.code == 2
+def test_invalid_mode_choice_exits_two(capsys):
+    # Flag text is parsed as config text is, so a bad choice is a usage
+    # error that names its flag, not an argparse exit.
+    assert main(["sense", "--mode", "sideways"]) == 2
+    assert capsys.readouterr().err == (
+        "specsense: error: mode: must be one of static, dynamic, got 'sideways'\n")
 
 
 def test_sense_static_output_shape(capsys):
@@ -389,12 +391,20 @@ def test_a_config_key_its_command_does_not_read_keeps_its_default(command, tmp_p
       "nominal: too large, the static threshold it sets is not finite (got 1e+308)"),
      (["sweep-snr", "--quick", "--mode", "static", "--nominal", "1e307", "--snr-min", "0",
        "--snr-max", "0"], "nominal: too large, the static threshold it sets is not finite"),
-     ("mode = sideways", "mode: must be one of static, dynamic, got ' sideways'"),
-     ("n = abc", "n: expected an integer, got ' abc'")],
+     ("mode = sideways", "mode: must be one of static, dynamic, got 'sideways'"),
+     ("n = abc", "n: expected an integer, got 'abc'"),
+     (["sense", "--mode", "static", "--n", "2", "--l", "2", "--pfa", "0.99", "--hypothesis",
+       "h0"], "pfa: too large for n=2, the threshold it sets is not positive (got 0.99)"),
+     (["sweep-pfa", "--quick", "--mode", "static", "--n", "2", "--l", "2", "--pfa-grid",
+       "0.9,0.99"], "pfa-grid: too large for n=2, the threshold it sets is not positive"),
+     (["sweep-pfa", "--pfa-grid", "0.1,1.5"],
+      "pfa-grid: must be strictly between 0 and 1 (got 1.5)"),
+     (["sweep-pfa", "--pfa-grid", "0.1,nan"], "pfa-grid: must be finite (got nan)")],
     ids=["l", "n-below-l", "trials", "m-grid", "mismatch-db", "sigma-w2", "nominal", "factor",
          "snr-step", "snr-max", "seed", "sps", "workers", "nominal-times-factor",
          "factor-ladder", "static-threshold-sense", "static-threshold-sweep", "config-mode",
-         "config-n"],
+         "config-n", "threshold-not-positive-sense", "threshold-not-positive-sweep-pfa",
+         "pfa-grid-above-one", "pfa-grid-nan"],
 )
 def test_every_usage_error_exits_two_and_names_its_flag(argv, message, tmp_path, capsys):
     if isinstance(argv, str):  # a config-file line
@@ -425,6 +435,8 @@ _PLAN_RULES = [
     ("mismatch_db", {"mismatch_db": 3020.0}),
     ("sigma_s2", {"sigma_s2": np.float64(1e303)}),
     ("n_trials", {"n_trials": 2**32 + 1}),
+    # Q^-1(0.99) * sqrt(2n) + n < 0 at n = 2: a threshold below every statistic
+    ("target_pfa", {"n": 2, "l": 2, "target_pfa": 0.99}),
 ]
 
 
@@ -473,6 +485,41 @@ def test_a_power_out_of_the_plans_range_exits_two(argv, flag, tmp_path, capsys):
     if flag.startswith("snr"):  # the dB value typed, not the power it sets
         assert err.endswith("(got 3070.0)\n")
     assert list(tmp_path.iterdir()) == []
+
+
+_BAD_TEXT = [("m_grid", "abc", "m-grid: expected an integer, got 'abc'"),
+             ("mismatch_db", "wide", "mismatch-db: expected a number, got 'wide'"),
+             ("hypothesis", "h2", "hypothesis: must be one of h0, h1, got 'h2'")]
+_BAD_SOURCES = [(source, *case) for source in ("flag", "config") for case in _BAD_TEXT] + [
+    ("env", "seed", "abc", "SPECSENSE_SEED: expected an integer, got 'abc'")]
+
+
+@pytest.mark.parametrize(("source", "key", "text", "message"), _BAD_SOURCES,
+                         ids=[f"{source}-{key}" for source, key, _, _ in _BAD_SOURCES])
+def test_bad_text_fails_alike_from_every_source_and_names_the_flag(
+        source, key, text, message, tmp_path, capsys, monkeypatch):
+    # A bad flag once left main() through argparse's SystemExit, and a bad
+    # config line named the key (m_grid), not the flag.
+    argv = ["sense"]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", text]
+    elif source == "config":
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = {text}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("SPECSENSE_SEED", text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"specsense: error: {message}\n"
+
+
+def test_flag_text_keeps_its_spaces(tmp_path, capsys, monkeypatch):
+    # Only a config line is trimmed; an --out path is used as typed.
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep-snr", "--quick", "--mode", "static", "--snr-min", "0", "--snr-max", "0",
+                 "--out", " spaced "]) == 0
+    assert _lines(capsys)["output_csv_static"] == " spaced _static.csv"
+    assert (tmp_path / " spaced _static.csv").exists()
 
 
 def test_config_cannot_name_another_config(tmp_path, capsys):
