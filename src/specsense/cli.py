@@ -66,10 +66,11 @@ _OPTIONS: dict[str, tuple[object, object, str]] = {
     "pfa_grid": (str, "0.01,0.02,0.05,0.1,0.2,0.3,0.5",
                  "comma-separated target-Pfa grid for sweep-pfa"),
 }
-# TrialPlan field -> the flag that sets it, where the two names differ.
-_FLAGS = {"n_trials": "trials", "target_pfa": "pfa", "sigma_w2_true": "sigma-w2",
-          "sigma_nominal2": "nominal", "sigma_s2": "snr", "master_seed": "seed",
-          "m_grid": "m-grid", "mismatch_db": "mismatch-db", "samples_per_symbol": "sps"}
+# TrialPlan field -> the option that sets it, and that a plan error on it names.
+_PLAN_OPTIONS = {"n_trials": "trials", "n": "n", "l": "l", "target_pfa": "pfa", "mode": "mode",
+                 "sigma_w2_true": "sigma_w2", "sigma_nominal2": "nominal", "sigma_s2": "snr",
+                 "master_seed": "seed", "m_grid": "m_grid", "mismatch_db": "mismatch_db",
+                 "samples_per_symbol": "sps"}
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
@@ -173,7 +174,7 @@ def _validate(o: dict[str, object]) -> None:
 
 def _signal_power(o: dict[str, object], key: str) -> float:
     """The signal power at option ``key``'s SNR; a plan sees the power, not the dB value."""
-    power = power_at_db(float(o["sigma_w2"]), float(o[key]))
+    power = power_at_db(o["sigma_w2"], o[key])
     if not math.isfinite(power):
         raise UsageError(f"{key.replace('_', '-')}: too large, the signal power "
                          f"sigma-w2 * 10^(snr/10) is not finite (got {o[key]})")
@@ -183,27 +184,19 @@ def _signal_power(o: dict[str, object], key: str) -> float:
 def _build_plan(o: dict[str, object], snr: str = "snr") -> TrialPlan:
     """The plan of the options, at option ``snr``'s SNR, which a plan error
     on the signal power names."""
-    sigma_w2, sigma_s2 = float(o["sigma_w2"]), _signal_power(o, snr)
+    fields = {field: o[key] for field, key in _PLAN_OPTIONS.items()}
+    fields.update(  # the fields not set by their option's value alone
+        n_trials=max(100, o["trials"] // 10) if o["quick"] else o["trials"],
+        mode=ThresholdMode(o["mode"] or "static"),  # a sweep's curves set their own
+        sigma_nominal2=o["sigma_w2"] if o["nominal"] is None else o["nominal"],
+        sigma_s2=_signal_power(o, snr))
     try:
-        return TrialPlan(
-            n_trials=max(100, int(o["trials"]) // 10) if o["quick"] else int(o["trials"]),
-            n=int(o["n"]),
-            l=int(o["l"]),
-            target_pfa=float(o["pfa"]),
-            mode=ThresholdMode(o["mode"] or "static"),  # a sweep's curves set their own
-            sigma_w2_true=sigma_w2,
-            sigma_nominal2=sigma_w2 if o["nominal"] is None else float(o["nominal"]),
-            sigma_s2=sigma_s2,
-            master_seed=int(o["seed"]),
-            m_grid=int(o["m_grid"]),
-            mismatch_db=float(o["mismatch_db"]),
-            samples_per_symbol=None if o["sps"] is None else int(o["sps"]),
-        )
+        return TrialPlan(**fields)
     except PlanError as exc:
         if exc.field != "sigma_s2":
             raise
         rule = exc.message.rpartition(" (got ")[0]  # the value is the SNR, not its power
-        raise UsageError(f"{snr.replace('_', '-')}: {rule} (got {float(o[snr])})") from None
+        raise UsageError(f"{snr.replace('_', '-')}: {rule} (got {o[snr]})") from None
 
 
 def _emit(key: str, value: object) -> None:
@@ -226,13 +219,9 @@ def _cmd_sense(command: str, o: dict[str, object]) -> int:
 def _cmd_estimate_noise(command: str, o: dict[str, object]) -> int:
     _, estimate = sense_once(_build_plan({**o, "mode": "dynamic"}),
                              Hypothesis(o["hypothesis"] or "h0"))
-    _emit("sigma_hat2", estimate.sigma_hat2)
-    _emit("k_hat", estimate.k_hat)
-    _emit("beta_hat", estimate.beta_hat)
-    _emit("sigma_lo2", estimate.sigma_lo2)
-    _emit("sigma_hi2", estimate.sigma_hi2)
-    _emit("p_ratio", estimate.p_ratio)
-    _emit("degenerate_grid", estimate.degenerate_grid)
+    for name in ("sigma_hat2", "k_hat", "beta_hat", "sigma_lo2", "sigma_hi2", "p_ratio",
+                 "degenerate_grid"):
+        _emit(name, getattr(estimate, name))
     best = min(range(len(estimate.fit_scores)), key=estimate.fit_scores.__getitem__)
     _emit("fit_score_best", estimate.fit_scores[best])
     _emit("fit_index_best", best)
@@ -240,7 +229,7 @@ def _cmd_estimate_noise(command: str, o: dict[str, object]) -> int:
 
 
 def _snr_grid(o: dict[str, object]) -> list[float]:
-    start, stop, step = float(o["snr_min"]), float(o["snr_max"]), float(o["snr_step"])
+    start, stop, step = o["snr_min"], o["snr_max"], o["snr_step"]
     if step <= 0.0:
         raise UsageError(f"snr-step: must be positive (got {o['snr_step']})")
     # No grid value has a wider float spacing than the end of larger
@@ -262,12 +251,11 @@ def _snr_grid(o: dict[str, object]) -> list[float]:
 
 def _pfa_grid(o: dict[str, object]) -> list[float]:
     # The plan refuses a target outside (0, 1); main names --pfa-grid for it.
-    return [_coerce("pfa", entry, "pfa-grid") for entry in str(o["pfa_grid"]).split(",")]
+    return [_coerce("pfa", entry, "pfa-grid") for entry in o["pfa_grid"].split(",")]
 
 
 def _cmd_sweep(command: str, o: dict[str, object]) -> int:
     """sweep-snr, sweep-pfa or sweep-factor: one CSV per curve, then the chart."""
-    workers = int(o["workers"])
     grid = _pfa_grid(o) if command == "sweep-pfa" else _snr_grid(o)
     # An SNR sweep's plan takes the grid's largest signal power: every row
     # passes the rules it passes, and a rule it breaks names --snr-max.
@@ -275,17 +263,17 @@ def _cmd_sweep(command: str, o: dict[str, object]) -> int:
     failure = None
     try:
         if command == "sweep-factor":  # each factor scales the plan's nominal noise power
-            factors = _FACTOR_LADDER if o["factor"] is None else (float(o["factor"]),)
-            curves = sweep_threshold_factor(plan, factors, grid, workers=workers)
+            factors = _FACTOR_LADDER if o["factor"] is None else (o["factor"],)
+            curves = sweep_threshold_factor(plan, factors, grid, workers=o["workers"])
         else:
             sweep = sweep_snr if command == "sweep-snr" else sweep_pfa
             modes = tuple(ThresholdMode) if o["mode"] is None else (plan.mode,)
-            curves = sweep(plan, grid, modes=modes, workers=workers)
+            curves = sweep(plan, grid, modes=modes, workers=o["workers"])
     except FailureGuardError as exc:  # write the completed rows, then fail
         curves, failure = exc.curves, exc
     named = {key.value if isinstance(key, ThresholdMode) else f"factor_{key:g}": result
              for key, result in curves.items()}
-    stem = str(o["out"] if o["out"] is not None else command.replace("-", "_"))
+    stem = o["out"] if o["out"] is not None else command.replace("-", "_")
     stem = stem.removesuffix(".csv")
     for name, result in named.items():
         path = f"{stem}_{name}.csv"
@@ -330,7 +318,18 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a token that begins with "-" as a flag unless it looks like
+    # -1 or -.5, so one after a flag that takes a value (--snr -1e0) is joined to it.
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    reads = _COMMANDS[tokens[0]][3] if tokens and tokens[0] in _COMMANDS else ()
+    takes = {"--" + key.replace("_", "-") for key in reads if _OPTIONS[key][0] is not bool}
+    joined: list[str] = []
+    for token in tokens:
+        if joined and joined[-1] in takes and token[:1] == "-" and token[:2] != "--":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    args = parser.parse_args(joined)
     if args.command is None:
         parser.print_usage(sys.stderr)
         print("specsense: error: a command is required", file=sys.stderr)
@@ -345,7 +344,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"specsense: error: {exc}", file=sys.stderr)
         return 2
     except PlanError as exc:
-        flag = _FLAGS.get(exc.field, exc.field)
+        flag = _PLAN_OPTIONS[exc.field].replace("_", "-")
         if flag == "pfa" and args.command == "sweep-pfa":  # its targets come from its grid
             flag = "pfa-grid"
         print(f"specsense: error: {flag}: {exc.message}", file=sys.stderr)

@@ -443,16 +443,38 @@ _PLAN_RULES = [
 @pytest.mark.parametrize(("field", "broken"), _PLAN_RULES,
                          ids=[f"{field}-{i}" for i, (field, _) in enumerate(_PLAN_RULES)])
 def test_every_plan_rule_names_a_field_that_has_a_flag(field, broken):
-    # main reports a PlanError under _FLAGS.get(field, field); a field with
-    # no option behind it would name a flag the user cannot set.
+    # main reports a PlanError under the option _PLAN_OPTIONS gives its field;
+    # a field with no option behind it would name a flag the user cannot set.
     with pytest.raises(harness.PlanError) as caught:
         TrialPlan(**{"n_trials": 10, "n": 128, "l": 8, "mode": ThresholdMode.STATIC, **broken})
     assert caught.value.field == field
     assert str(caught.value) == f"{field}: {caught.value.message}"
-    assert cli._FLAGS.get(field, field).replace("-", "_") in cli._OPTIONS
+    assert cli._PLAN_OPTIONS[field] in cli._OPTIONS
     unflagged = [f for f in TrialPlan.__dataclass_fields__
-                 if cli._FLAGS.get(f, f).replace("-", "_") not in cli._OPTIONS]
+                 if cli._PLAN_OPTIONS.get(f) not in cli._OPTIONS]
     assert unflagged == []
+
+
+# A non-default value of every option a plan field is built from, and the field's value.
+_PLAN_VALUES = {"trials": 300, "n": 64, "l": 4, "pfa": 0.05, "mode": "dynamic",
+                "sigma_w2": 2.0, "nominal": 1.5, "snr": 3.0, "seed": 7, "m_grid": 50,
+                "mismatch_db": 1.0, "sps": 2}
+_PLAN_FIELDS = {"n_trials": 300, "n": 64, "l": 4, "target_pfa": 0.05,
+                "mode": ThresholdMode.DYNAMIC, "sigma_w2_true": 2.0, "sigma_nominal2": 1.5,
+                "sigma_s2": harness.power_at_db(2.0, 3.0), "master_seed": 7, "m_grid": 50,
+                "mismatch_db": 1.0, "samples_per_symbol": 2}
+
+
+def test_a_plan_carries_each_option_in_the_field_it_sets():
+    defaults = {key: default for key, (_, default, _) in cli._OPTIONS.items()}
+    assert set(_PLAN_VALUES) == set(cli._PLAN_OPTIONS.values())
+    plan, default_plan = cli._build_plan({**defaults, **_PLAN_VALUES}), cli._build_plan(defaults)
+    for field, want in _PLAN_FIELDS.items():
+        assert getattr(plan, field) == want != getattr(default_plan, field), field
+        assert type(getattr(plan, field)) is type(want), field
+    # The derived values: --quick's tenth (at least 100), --nominal's fallback.
+    assert cli._build_plan({**defaults, **_PLAN_VALUES, "quick": True}).n_trials == 100
+    assert cli._build_plan({**defaults, **_PLAN_VALUES, "nominal": None}).sigma_nominal2 == 2.0
 
 
 @pytest.mark.parametrize(
@@ -509,6 +531,51 @@ def test_bad_text_fails_alike_from_every_source_and_names_the_flag(
         argv += ["--config", str(cfg)]
     else:
         monkeypatch.setenv("SPECSENSE_SEED", text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"specsense: error: {message}\n"
+
+
+# Each command with a negative value after its flag, in forms argparse alone
+# took for a flag (exponent, leading point), and the same with the value joined.
+_DASH_VALUES = [
+    (["sense", "--snr", "-1e0"], ["sense", "--snr=-1e0"]),
+    (["sense", "--snr", "-.5e1", "--mismatch-db", "0"],
+     ["sense", "--snr=-.5e1", "--mismatch-db=0"]),
+    (["estimate-noise", "--hypothesis", "h1", "--snr", "-2E0"],
+     ["estimate-noise", "--hypothesis", "h1", "--snr=-2E0"]),
+    (["sweep-snr", "--quick", "--snr-min", "-1e1", "--snr-max", "-1e1"],
+     ["sweep-snr", "--quick", "--snr-min=-1e1", "--snr-max=-1e1"]),
+]
+
+
+@pytest.mark.parametrize("source", ["argv", "sys.argv"])
+@pytest.mark.parametrize(("split", "joined"), _DASH_VALUES,
+                         ids=[" ".join(split) for split, _ in _DASH_VALUES])
+def test_a_negative_value_may_follow_its_flag(split, joined, source, tmp_path, capsys,
+                                              monkeypatch):
+    # argparse read --snr -1e0 as two flags and left main() through SystemExit.
+    def run(argv, name):
+        out = tmp_path / name
+        out.mkdir()
+        monkeypatch.chdir(out)
+        if source == "sys.argv":
+            monkeypatch.setattr("sys.argv", ["specsense", *argv])
+            assert main() == 0
+        else:
+            assert main(argv) == 0
+        return capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()}
+
+    assert run(split, "split") == run(joined, "joined")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [(["sense", "--snr", "-inf"], "snr: must be finite (got -inf)"),
+     (["sense", "--seed", "-1e0"], "seed: expected an integer, got '-1e0'"),
+     (["sense", "--snr", "-x"], "snr: expected a number, got '-x'")],
+    ids=["non-finite", "not-an-integer", "not-a-number"],
+)
+def test_a_bad_negative_value_after_its_flag_names_the_flag(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"specsense: error: {message}\n"
 

@@ -550,6 +550,24 @@ def test_run_point_is_scale_equivariant(shape, mode, k):
         assert abs(got.mean_sigma_hat2 - want) <= 4 * math.ulp(want)  # LAPACK's own scaling
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize(("l", "n"), [(8, 128), (8, 32), (4, 64)])
+def test_blind_detector_is_cfar_chunk_by_chunk(l, n, seed):
+    # A trial's noise draws do not depend on the wander and the blind
+    # estimate is scale-equivariant, so a dynamic H0 decision does not
+    # depend on the noise power: an identity, not a rate within a CI.
+    h0_counts = {}
+    for db in (0.0, 3.0, 10.0):
+        plan = _static_plan(n_trials=1024, n=n, l=l, mode=ThresholdMode.DYNAMIC,
+                            mismatch_db=db, master_seed=seed)
+        receivers = [harness._receiver(plan)]
+        tallies = [harness._run_chunk(plan, receivers, start)[0]
+                   for start in range(0, plan.n_trials, harness._CHUNK)]
+        assert [failed for _, _, failed, _ in tallies] == [0] * len(tallies), db
+        h0_counts[db] = [h0 for _, h0, _, _ in tallies]
+    assert h0_counts[3.0] == h0_counts[0.0] and h0_counts[10.0] == h0_counts[0.0]
+
+
 def test_sweep_derives_each_chunks_states_once(monkeypatch):
     # Every plan of a factor sweep reads the same (master_seed, trial, role)
     # substreams, so each chunk's generator states are derived once for all
