@@ -13,9 +13,10 @@ import argparse
 import math
 import os
 import sys
-from typing import Sequence
+from dataclasses import replace
+from typing import Callable, Sequence
 
-from .detector import ThresholdMode, Verdict
+from .detector import ThresholdMode
 from .harness import (
     FailureGuardError,
     PlanError,
@@ -161,13 +162,10 @@ def _merge_options(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _validate(o: dict[str, object]) -> None:
-    """The checks :class:`TrialPlan` cannot make: it sees no pool, and only
-    the plan's powers, not the options they came from.  :func:`_coerce` has already
-    refused, under its flag, any text not a finite value of its option's kind."""
+    """The checks :class:`TrialPlan` cannot make, as it sees no pool or --quick.  :func:`_coerce`
+    has refused, under its flag, any text not a finite value of its option's kind."""
     if o["trials"] < 1:  # --quick would turn 0 into 100
         raise UsageError(f"trials: must be positive (got {o['trials']})")
-    if o["factor"] is not None and o["factor"] <= 0.0:  # the nominal times it hides two negatives
-        raise UsageError(f"factor: must be positive (got {o['factor']})")
     if o["workers"] < 1:
         raise UsageError(f"workers: must be at least 1 (got {o['workers']})")
 
@@ -181,6 +179,17 @@ def _signal_power(o: dict[str, object], key: str) -> float:
     return power
 
 
+def _plan_of(flag: str, field: str, got: object, make: Callable[[], TrialPlan]) -> TrialPlan:
+    """The plan ``make()`` builds, whose ``field`` the CLI derived from the value
+    ``got`` of ``flag``: an error on that field names the flag and states ``got``."""
+    try:
+        return make()
+    except PlanError as exc:
+        if exc.field != field:
+            raise
+        raise UsageError(f"{flag}: {exc.message.rpartition(' (got ')[0]} (got {got})") from None
+
+
 def _build_plan(o: dict[str, object], snr: str = "snr") -> TrialPlan:
     """The plan of the options, at option ``snr``'s SNR, which a plan error
     on the signal power names."""
@@ -190,13 +199,7 @@ def _build_plan(o: dict[str, object], snr: str = "snr") -> TrialPlan:
         mode=ThresholdMode(o["mode"] or "static"),  # a sweep's curves set their own
         sigma_nominal2=o["sigma_w2"] if o["nominal"] is None else o["nominal"],
         sigma_s2=_signal_power(o, snr))
-    try:
-        return TrialPlan(**fields)
-    except PlanError as exc:
-        if exc.field != "sigma_s2":
-            raise
-        rule = exc.message.rpartition(" (got ")[0]  # the value is the SNR, not its power
-        raise UsageError(f"{snr.replace('_', '-')}: {rule} (got {o[snr]})") from None
+    return _plan_of(snr.replace("_", "-"), "sigma_s2", o[snr], lambda: TrialPlan(**fields))
 
 
 def _emit(key: str, value: object) -> None:
@@ -212,7 +215,7 @@ def _cmd_sense(command: str, o: dict[str, object]) -> int:
     _emit("threshold", decision.threshold)
     if estimate is not None:
         _emit("sigma_hat2", estimate.sigma_hat2)
-    _emit("verdict", "present" if decision.verdict is Verdict.PRESENT_H1 else "absent")
+    _emit("verdict", decision.verdict.value)
     return 0
 
 
@@ -244,13 +247,12 @@ def _snr_grid(o: dict[str, object]) -> list[float]:
         _signal_power(o, key)
     grid, value = [], start
     while value <= stop + 1e-9:
-        grid.append(round(value, 12))
+        grid.append(round(value, 12) + 0.0)  # + 0.0: a sum a hair below 0 labels 0.0, not -0.0
         value += step
     return grid
 
 
 def _pfa_grid(o: dict[str, object]) -> list[float]:
-    # The plan refuses a target outside (0, 1); main names --pfa-grid for it.
     return [_coerce("pfa", entry, "pfa-grid") for entry in o["pfa_grid"].split(",")]
 
 
@@ -260,10 +262,19 @@ def _cmd_sweep(command: str, o: dict[str, object]) -> int:
     # An SNR sweep's plan takes the grid's largest signal power: every row
     # passes the rules it passes, and a rule it breaks names --snr-max.
     plan = _build_plan(o, "snr" if command == "sweep-pfa" else "snr_max")
+    # The plan passed, so a rule that a target or factor of the sweep breaks names it.
+    if command == "sweep-pfa":
+        for pfa in grid:
+            _plan_of("pfa-grid", "target_pfa", pfa, lambda: replace(plan, target_pfa=pfa))
+    elif command == "sweep-factor":  # each factor scales the plan's nominal noise power
+        factors = _FACTOR_LADDER if o["factor"] is None else (o["factor"],)
+        nominal = plan.sigma_nominal2
+        for f in factors:
+            _plan_of("factor", "sigma_nominal2", f"factor {f} * nominal {nominal} = {nominal * f}",
+                     lambda: replace(plan, sigma_nominal2=nominal * f))
     failure = None
     try:
-        if command == "sweep-factor":  # each factor scales the plan's nominal noise power
-            factors = _FACTOR_LADDER if o["factor"] is None else (o["factor"],)
+        if command == "sweep-factor":
             curves = sweep_threshold_factor(plan, factors, grid, workers=o["workers"])
         else:
             sweep = sweep_snr if command == "sweep-snr" else sweep_pfa
@@ -345,8 +356,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except PlanError as exc:
         flag = _PLAN_OPTIONS[exc.field].replace("_", "-")
-        if flag == "pfa" and args.command == "sweep-pfa":  # its targets come from its grid
-            flag = "pfa-grid"
         print(f"specsense: error: {flag}: {exc.message}", file=sys.stderr)
         return 2
     except (RuntimeError, OSError, ValueError) as exc:  # EstimationFailure included

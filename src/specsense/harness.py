@@ -54,6 +54,7 @@ from .signal_model import (
     _column_states,
     _fill_awgn,
     _fill_qpsk,
+    _snapshots,
     _uniforms,
     frame,
 )
@@ -260,7 +261,8 @@ def synthesize_pair(plan: TrialPlan, trial: int) -> tuple[np.ndarray, np.ndarray
     paired sample-for-sample.
     """
     streams = np.empty((1, 2, plan.l * plan.n), np.complex128)
-    sigma_true = _synthesize(plan, _trial_states(plan, trial, trial + 1), streams)
+    states = _seeded_states(plan.master_seed, _roles(plan), trial, trial + 1)
+    sigma_true = _synthesize(plan, states, streams)
     return streams[0, 0], streams[0, 1], sigma_true[0]
 
 
@@ -273,23 +275,17 @@ def _roles(plan: TrialPlan) -> tuple[int, ...]:
     return roles
 
 
-def _trial_states(plan: TrialPlan, start: int, stop: int) -> np.ndarray:
-    """PCG64 state words of every substream of trials [start, stop).
-
-    Returns a read-only ``(stop - start, len(_roles(plan)), 4)`` array: the
-    state ``default_rng(derive_seed(plan.master_seed, trial, role))`` starts
-    in, for every (trial, role).  Plans with the same master seed and roles
-    share these states, so the last result is kept and handed to the next
-    call that asks for the same trials.
-    """
-    return _seeded_states(plan.master_seed, _roles(plan), start, stop)
-
-
 @functools.lru_cache(maxsize=1)
 def _seeded_states(master_seed: int, roles: tuple[int, ...], start: int,
                    stop: int) -> np.ndarray:
-    """:func:`_trial_states` from one call of the seed kernel,
-    :func:`~specsense.signal_model._column_states`, for all its rows."""
+    """PCG64 state words of the ``roles`` substreams (:func:`_roles`) of trials
+    [start, stop), from one seed kernel call (:func:`~specsense.signal_model._column_states`).
+
+    Returns a read-only ``(stop - start, len(roles), 4)`` array: the state
+    ``default_rng(derive_seed(master_seed, trial, role))`` starts in, for
+    every (trial, role).  Plans with the same master seed and roles share
+    these states, so the last result is kept for the next call.
+    """
     trials = np.repeat(np.arange(start, stop, dtype=np.uint32), len(roles))
     column = np.tile(np.array(roles, np.uint32), stop - start)
     states = _column_states(master_seed, trials, column).reshape(stop - start, len(roles), 4)
@@ -301,7 +297,7 @@ def _synthesize(plan: TrialPlan, states: np.ndarray, out: np.ndarray) -> list[fl
     """Write the streams of a block of trials into ``out``; returns each
     trial's true noise power.
 
-    ``states`` holds the block's rows of :func:`_trial_states`, and ``out``
+    ``states`` holds the block's rows of :func:`_seeded_states`, and ``out``
     is a ``(len(states), 2, n_samples)`` stack: ``out[i, 0]`` and
     ``out[i, 1]`` become the first ``n_samples`` samples of the H1 and H0
     streams of the block's trial i, whatever ``out`` held before.  A
@@ -364,22 +360,18 @@ def _run_chunk(plan: TrialPlan, receivers: Sequence[tuple[float | None, float]],
     """Run the chunk of trials from ``start`` of ``plan``'s scenario for each
     of ``receivers`` (:func:`_receiver`), block by block; one tally each.
 
-    Each block synthesizes its trials once, at the width the receivers
-    read, and takes the energy statistics once.  A receiver whose scale is
-    None scales by a stacked noise estimate that all such receivers share;
-    its trial fails, and counts in neither rate, when the noise estimate of
-    its H1 or its H0 frame fails.
+    A trial of a receiver whose scale is None, the noise estimate, fails,
+    and counts in neither rate, when the estimate of its H1 or its H0 frame
+    fails.
     """
     stop = min(start + _CHUNK, plan.n_trials)
     detections = [[0, 0] for _ in receivers]  # per receiver: h1 and h0 detections
-    sigma_sum = 0.0
-    estimated = 0  # trials whose two noise estimates both succeeded
+    sigma_sum, estimated = 0.0, 0  # estimated: trials whose two noise estimates both succeeded
 
-    # A receiver with a fixed scale reads only the first n real parts of
-    # each stream: bit for bit the real parts of a full stream's prefix.
+    # A receiver with a fixed scale reads only the first n real parts of each stream.
     estimates = any(scale is None for scale, _ in receivers)
     n_samples = plan.l * plan.n if estimates else plan.n
-    states = _trial_states(plan, start, stop)
+    states = _seeded_states(plan.master_seed, _roles(plan), start, stop)
     workspace = np.empty((min(_BLOCK, stop - start), 2, n_samples),
                          np.complex128 if estimates else np.float64)
     for first in range(0, stop - start, _BLOCK):
@@ -390,8 +382,8 @@ def _run_chunk(plan: TrialPlan, receivers: Sequence[tuple[float | None, float]],
         streams = stack.reshape(-1, n_samples)
         energies = _energies(streams[:, : plan.n]).reshape(-1, 2)
         if estimates:
-            frames = streams.reshape(-1, plan.n, plan.l).transpose(0, 2, 1)
-            sigma = estimate_noise_batch(frames, plan.m_grid).reshape(-1, 2)
+            sigma = estimate_noise_batch(_snapshots(streams, plan.l, plan.n),
+                                         plan.m_grid).reshape(-1, 2)
             ok = ~np.isnan(sigma).any(axis=1)
             for s1, s0 in sigma[ok].tolist():
                 sigma_sum += s1 + s0
@@ -405,17 +397,17 @@ def _run_chunk(plan: TrialPlan, receivers: Sequence[tuple[float | None, float]],
             for (h1, h0), (scale, _) in zip(detections, receivers)]
 
 
-def _point_result(plan: TrialPlan, tallies: Sequence[_Tally]) -> PointResult | None:
-    """Reduce one plan's chunk tallies, in chunk order, to its point result;
-    None when more than 1% of its trials failed.  A trial completes unless it fails."""
+def _point_result(plan: TrialPlan, receiver: tuple[float | None, float],
+                  tallies: Sequence[_Tally]) -> PointResult | None:
+    """Reduce the chunk tallies of ``plan`` and its ``receiver``, in chunk order,
+    to its point result; None when more than 1% of its trials failed."""
     det_h1, det_h0, failed = (sum(t[i] for t in tallies) for i in range(3))
     if failed > 0.01 * plan.n_trials:
         return None
     completed = plan.n_trials - failed
-    pd = det_h1 / completed
-    pfa = det_h0 / completed
+    pd, pfa = det_h1 / completed, det_h0 / completed
     mean_sigma = None
-    if plan.mode is ThresholdMode.DYNAMIC:
+    if receiver[0] is None:  # it scales by the noise estimate: report their mean
         # A sum that overflows is taken again at 2^-64 scale: exact powers of
         # two, so every mean the first sum gives keeps its bits.
         for scale in (1.0, 2.0**-64):
@@ -435,22 +427,15 @@ def _run_points(plans: Sequence[TrialPlan],
     """Run every plan: one point result per plan, in plan order, None where the
     failure guard tripped; and the first such plan's failure message, or None.
 
-    A work unit is one chunk of trials of one scenario with the receivers
-    of a group of plans that differ only in ``mode`` and ``target_pfa``: it
-    synthesizes and estimates each trial once for all of them.
     Units run chunk-major: every group's unit for chunk 0, in the order of
     the groups' first plans, then every group's unit for chunk 1, and so
     on.  A chunk's generator states depend only on the master seed, the
     roles and the chunk, so consecutive units of one chunk share them
-    (:func:`_trial_states` keeps its last result): in-process they are
+    (:func:`_seeded_states` keeps its last result): in-process they are
     derived once for all groups, and a pool worker derives them again only
     when its next unit starts a new chunk.  The units run on one process
     pool of at most ``workers`` processes and no more than there are units;
     with one process, in-process.
-
-    Tallies come back in unit order whatever the worker count, and each
-    plan's are reduced in chunk order.  Every unit runs before any plan is
-    reduced.
     """
     # Key: every field but mode and target_pfa; value: the indices of its plans.
     groups: dict[tuple, list[int]] = {}
@@ -482,7 +467,7 @@ def _run_points(plans: Sequence[TrialPlan],
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    points = [_point_result(plan, plan_tallies) for plan, plan_tallies in zip(plans, tallies)]
+    points = [_point_result(p, r, t) for p, r, t in zip(plans, receivers, tallies)]
     if None not in points:
         return points, None
     first = points.index(None)
@@ -537,11 +522,8 @@ def power_at_db(power: float, db: float) -> float:
 
 
 def _snr_to_sigma_s2(plan: TrialPlan, snr_db_value: float) -> float:
-    """The signal power at ``snr_db_value`` dB above the plan's true noise.
-
-    Raises:
-        ValueError: when that power is not a finite float.
-    """
+    """The signal power at ``snr_db_value`` dB above the plan's true noise;
+    ValueError where that is not finite."""
     sigma_s2 = power_at_db(plan.sigma_w2_true, snr_db_value)
     if not math.isfinite(sigma_s2):
         raise ValueError(f"an SNR of {snr_db_value} dB gives a signal power that is not finite")

@@ -53,6 +53,10 @@ __all__ = [
 # eigenvalue of a normal noise floor is misread.
 _LOG_FLOOR = float(np.finfo(np.float64).tiny)
 
+# Why an estimate fails, by the cause code of :func:`_fit_spectra` (0: fitted).
+_FAILURES = (None, "MDL attributed {k_hat} of {l} eigenvalues to signal",
+             "smallest eigenvalue is zero: no noise floor to fit")
+
 
 class EstimationFailure(RuntimeError):
     """Raised when the blind estimator cannot isolate a noise subspace."""
@@ -357,7 +361,7 @@ def _linear_grid(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
 
 def _fit_spectra(
     lam: np.ndarray, n: int, m_grid: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """MDL split, support bounds and Marchenko-Pastur fit of each spectrum.
 
     ``lam`` is a (B, L) stack of descending eigenvalues of covariances over
@@ -365,16 +369,20 @@ def _fit_spectra(
     the shape ratio and the noise eigenvalue count); no row affects another.
 
     Returns:
-        (k_hat, lo, hi, sigma_hat2, scores): ``sigma_hat2`` is NaN where MDL
-        leaves fewer than two noise eigenvalues or the lower bound is zero;
-        row ``r`` of the (B, m_grid) ``scores`` holds that row's fit scores
-        (all equal for a degenerate grid ``lo == hi``), NaN elsewhere.
+        (k_hat, lo, hi, sigma_hat2, scores, cause): ``cause`` indexes
+        ``_FAILURES``: 0 where the row is fitted, 1 where MDL leaves fewer than
+        two noise eigenvalues, else 2 where the lower bound is zero.
+        ``sigma_hat2`` is NaN where a row failed; row ``r`` of the (B, m_grid)
+        ``scores`` holds that row's fit scores (all equal for a degenerate grid
+        ``lo == hi``), NaN elsewhere.
     """
     b, l = lam.shape
     k_hat = _mdl_counts(lam, n)
     rows = np.arange(b)
     lo, hi = _support_bounds(lam[:, -1], lam[rows, np.minimum(k_hat, l - 2)], l / n)
-    usable = (k_hat <= l - 2) & (lo > 0.0)
+    cause = 2 * (lo == 0.0)
+    cause[k_hat > l - 2] = 1
+    usable = cause == 0
     sigma = np.full(b, np.nan)
     scores = np.full((b, m_grid), np.nan)
     # Groups from a set of Python ints: the first np.unique call in a
@@ -385,7 +393,7 @@ def _fit_spectra(
         fits = _fit_scores(lam[idx, k:], (1.0 - k / l) * (l / n), grid)
         sigma[idx] = grid[np.arange(idx.size), np.argmin(fits, axis=1)]
         scores[idx] = fits
-    return k_hat, lo, hi, sigma, scores
+    return k_hat, lo, hi, sigma, scores, cause
 
 
 def _check_shape(l: int, n: int, m_grid: int) -> None:
@@ -402,8 +410,7 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
     Marchenko-Pastur fit pipeline and returns the candidate variance with
     the best fit (smallest grid value on ties).  When the bounds coincide,
     every candidate is that point, one score is reported and
-    ``degenerate_grid`` is set.  This is the batch of one of
-    :func:`estimate_noise_batch`.
+    ``degenerate_grid`` is set.
 
     Raises:
         EstimationFailure: when MDL attributes all but one eigenvalue to
@@ -415,21 +422,17 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
     l, n = frm.l, frm.n
     _check_shape(l, n, m_grid)
     spectrum = eigenvalues_hermitian(sample_covariance(frm))
-    k_hats, los, his, sigma, scores = _fit_spectra(np.array(spectrum.values)[None], n, m_grid)
-    k_hat, lo, hi = int(k_hats[0]), float(los[0]), float(his[0])
-    if k_hat > l - 2:
-        raise EstimationFailure(
-            f"MDL attributed {k_hat} of {l} eigenvalues to signal"
-        )
-    if lo == 0.0:
-        raise EstimationFailure("smallest eigenvalue is zero: no noise floor to fit")
+    fit = _fit_spectra(np.array(spectrum.values)[None], n, m_grid)
+    k_hat, lo, hi, sigma, scores, cause = (a[0].tolist() for a in fit)
+    if cause:
+        raise EstimationFailure(_FAILURES[cause].format(k_hat=k_hat, l=l))
     return NoiseEstimate(
-        sigma_hat2=float(sigma[0]),
+        sigma_hat2=sigma,
         k_hat=k_hat,
         beta_hat=k_hat / l,
         sigma_lo2=lo,
         sigma_hi2=hi,
-        fit_scores=tuple(scores[0, : 1 if lo == hi else m_grid].tolist()),
+        fit_scores=tuple(scores[: 1 if lo == hi else m_grid]),
         p_ratio=l / n,
         degenerate_grid=lo == hi,
     )
@@ -440,9 +443,8 @@ def estimate_noise_batch(frames: np.ndarray, m_grid: int = 100) -> np.ndarray:
 
     Row ``r`` is bit-for-bit ``estimate_noise(SampleFrame(frames[r]), m_grid)
     .sigma_hat2``; it is NaN where that call raises :class:`EstimationFailure`.
-    Any memory layout works, including the transposed view
-    ``streams.reshape(B, N, L).transpose(0, 2, 1)`` that frames B sample
-    streams without a copy.
+    Any memory layout works, including the transposed view that frames B
+    sample streams without a copy (``signal_model._snapshots``).
 
     Raises:
         ValueError: on a stack that is not (B, L, N) with L >= 2 and N > L,

@@ -352,8 +352,14 @@ class SampleFrame:
         return self.data.shape[1]
 
 
+def _snapshots(streams: np.ndarray, l: int, n: int) -> np.ndarray:
+    """The first ``l * n`` samples of each stream (last axis) as L x N snapshots
+    laid out as in :class:`SampleFrame`: a view of full contiguous streams."""
+    return streams[..., : l * n].reshape(*streams.shape[:-1], n, l).swapaxes(-1, -2)
+
+
 def frame(stream: np.ndarray, l: int, n: int) -> SampleFrame:
-    """Reshape the first ``l * n`` samples of a stream into an L x N frame.
+    """Copy the first ``l * n`` samples of a stream into an L x N frame.
 
     Raises ValueError if the stream is too short or the shape is invalid.
     """
@@ -362,5 +368,4 @@ def frame(stream: np.ndarray, l: int, n: int) -> SampleFrame:
         raise ValueError("stream must be 1-D")
     if stream.size < l * n:
         raise ValueError(f"stream has {stream.size} samples, need {l * n}")
-    data = stream[: l * n].reshape((n, l)).T.copy()
-    return SampleFrame(data)
+    return SampleFrame(_snapshots(stream, l, n).copy())

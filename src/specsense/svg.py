@@ -5,6 +5,7 @@ so the same data always produces the same bytes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,8 +41,6 @@ def _fmt(v: float) -> str:
 
 def _nice_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     """Evenly spaced ticks spanning [lo, hi]."""
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -65,10 +64,11 @@ def render_line_chart(
     ys = [v for s in series for v in s.y]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    # Equal ends get a span of 1, or of one float where adding 1 leaves the end as it is.
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

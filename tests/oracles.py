@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import chi2, ncx2, norm
+from scipy.stats import beta, chi2, ncx2, norm
 
 
 def charpoly_eigs(matrix: np.ndarray) -> np.ndarray:
@@ -209,6 +209,20 @@ def theory_oracle(plan) -> tuple[float, float]:
     """
     unit = _unit_threshold(plan)
     return _rates_over_wander(plan, lambda sigma: sigma * unit)
+
+
+def theory_dynamic_h0(plan) -> float:
+    """The blind receiver's Pfa, a Beta tail.
+
+    Under H0 the noise estimate is close to the mean power of all L*N samples
+    of the trial's frame, and the statistic is twice the energy of the real
+    parts of its first N samples.  Their ratio is that of N of the frame's
+    2*L*N iid squared Gaussian parts to all of them, Beta(N/2, L*N - N/2)
+    whatever the noise power, so the threshold ``sigma_hat2 * u`` is crossed
+    with probability ``beta.sf(u / (2*L*N), N/2, L*N - N/2)``.
+    """
+    ln = plan.l * plan.n
+    return float(beta.sf(_unit_threshold(plan) / (2.0 * ln), plan.n / 2.0, ln - plan.n / 2.0))
 
 
 def mp_cdf_unit_broadcast(z: np.ndarray, p: float) -> np.ndarray:

@@ -266,6 +266,17 @@ def test_bad_pfa_grid_exits_two(capsys):
     assert main(["sweep-pfa", "--pfa-grid", "0.1,1.5"]) == 2
 
 
+def test_an_snr_grid_through_zero_labels_it_zero(tmp_path, capsys):
+    # -1 plus ten steps of 0.1 sums to -1.4e-16, which rounded to 12 places
+    # once labelled its row -0.0.
+    out = tmp_path / "z"
+    assert main(["sweep-snr", "--quick", "--trials", "100", "--snr-min", "-1", "--snr-max", "1",
+                 "--snr-step", "0.1", "--mode", "static", "--out", str(out)]) == 0
+    capsys.readouterr()
+    labels = [row.split(",")[0] for row in (tmp_path / "z_static.csv").read_text().splitlines()]
+    assert labels[11] == "0.0" and not any(label.startswith("-0.0") for label in labels)
+
+
 def test_unwritable_output_exits_one(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out"
     assert main(["sweep-snr", "--trials", "128", "--mode", "static",
@@ -384,7 +395,15 @@ def test_a_config_key_its_command_does_not_read_keeps_its_default(command, tmp_p
      (["sense", "--sps", "0"], "sps: must be at least 1"),
      (["sweep-snr", "--workers", "0"], "workers: must be at least 1"),
      (["sweep-factor", "--nominal", "1e306", "--factor", "1e3"],
-      "nominal: must be finite (got inf)"),
+      "factor: must be finite (got factor 1000.0 * nominal 1e+306 = inf)"),
+     (["sweep-factor", "--factor", "1e306", "--nominal", "10"],
+      "factor: too large, the static threshold it sets is not finite "
+      "(got factor 1e+306 * nominal 10.0 = 1e+307)"),
+     (["sweep-factor", "--factor", "1e-320", "--nominal", "1e-10"],
+      "factor: must be positive (got factor 1e-320 * nominal 1e-10 = 0.0)"),
+     (["sweep-factor", "--nominal", "1e306"],
+      "factor: too large, the static threshold it sets is not finite "
+      "(got factor 1.5 * nominal 1e+306 = 1.5e+306)"),
      (["sweep-factor", "--quick", "--nominal", "1e308"],
       "nominal: too large, the static threshold it sets is not finite (got 1e+308)"),
      (["sense", "--nominal", "1e308", "--mode", "static"],
@@ -402,7 +421,8 @@ def test_a_config_key_its_command_does_not_read_keeps_its_default(command, tmp_p
      (["sweep-pfa", "--pfa-grid", "0.1,nan"], "pfa-grid: must be finite (got nan)")],
     ids=["l", "n-below-l", "trials", "m-grid", "mismatch-db", "sigma-w2", "nominal", "factor",
          "snr-step", "snr-max", "seed", "sps", "workers", "nominal-times-factor",
-         "factor-ladder", "static-threshold-sense", "static-threshold-sweep", "config-mode",
+         "factor-times-nominal-overflows", "factor-times-nominal-underflows",
+         "factor-ladder-times-nominal", "factor-ladder", "static-threshold-sense", "static-threshold-sweep", "config-mode",
          "config-n", "threshold-not-positive-sense", "threshold-not-positive-sweep-pfa",
          "pfa-grid-above-one", "pfa-grid-nan"],
 )

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from oracles import reference_pair, theory_oracle, theory_static
+from oracles import reference_pair, theory_dynamic_h0, theory_oracle, theory_static
 import specsense
 import specsense.harness as harness
 from specsense import cli
@@ -203,13 +203,15 @@ def test_mean_noise_estimate_is_finite_when_its_sum_overflows():
     # float range: the point once reported mean_sigma_hat2 = inf.
     plan = _static_plan(mode=ThresholdMode.DYNAMIC, n_trials=800_000)
     chunks = plan.n_trials // harness._CHUNK
-    r = harness._point_result(plan, [(1, 0, 0, 2 * harness._CHUNK * 1.5e302)] * chunks)
+    r = harness._point_result(plan, harness._receiver(plan),
+                              [(1, 0, 0, 2 * harness._CHUNK * 1.5e302)] * chunks)
     assert r.mean_sigma_hat2 == pytest.approx(1.5e302, rel=1e-12)
     # Summed at an exact power-of-two scale, the mean rounds once, as an
     # unbounded sum would.
     plan = replace(plan, n_trials=3 * harness._CHUNK)
     tallies = [(0, 0, 0, 2.0**1023), (0, 0, 0, 2.0**1023), (0, 0, 0, 2.0**1022)]
-    assert harness._point_result(plan, tallies).mean_sigma_hat2 == 1.25 * 2.0**1023 / 384
+    point = harness._point_result(plan, harness._receiver(plan), tallies)
+    assert point.mean_sigma_hat2 == 1.25 * 2.0**1023 / 384
 
 
 def _reference_point(plan: TrialPlan) -> PointResult:
@@ -312,7 +314,8 @@ def test_static_streams_are_real_prefixes_of_full_streams(master_seed, n, sps, s
     plan = _static_plan(n_trials=9, n=n, l=4, sigma_s2=sigma_s2, mismatch_db=mismatch_db,
                         samples_per_symbol=sps, master_seed=master_seed)
     short = np.empty((9, 2, n))
-    sigma = harness._synthesize(plan, harness._trial_states(plan, 0, 9), short)
+    states = harness._seeded_states(plan.master_seed, harness._roles(plan), 0, 9)
+    sigma = harness._synthesize(plan, states, short)
     for trial in range(9):
         y1, y0, sigma_true = synthesize_pair(plan, trial)
         np.testing.assert_array_equal(short[trial, 0], y1[:n].real)
@@ -331,7 +334,8 @@ def test_synthesize_overwrites_a_stale_workspace(dtype, overrides):
     # a leading slice of it: nothing an earlier block left may show through.
     plan = _static_plan(n_trials=harness._BLOCK + 5, n=40, l=8, mismatch_db=3.0, **overrides)
     n_samples = plan.n if dtype is np.float64 else plan.l * plan.n
-    states = harness._trial_states(plan, harness._BLOCK, plan.n_trials)
+    states = harness._seeded_states(plan.master_seed, harness._roles(plan), harness._BLOCK,
+                                    plan.n_trials)
     stale = np.full((harness._BLOCK, 2, n_samples), np.nan, dtype)
     fresh = np.zeros((len(states), 2, n_samples), dtype)
     sigma = harness._synthesize(plan, states, stale[: len(states)])
@@ -498,6 +502,29 @@ def test_blind_threshold_needs_a_low_rank_signal(sps, snr_db, low_rank):
     assert binomtest(round(point.pfa * trials), trials, pfa).pvalue >= alpha, (point.pfa, pfa)
 
 
+def test_blind_false_alarm_rate_is_a_beta_tail():
+    # The statistic's N samples lie inside the L*N-sample frame the noise is
+    # estimated from, so dynamic Pfa is a Beta tail (oracles.theory_dynamic_h0),
+    # not the known-noise chi-square tail.  Each of the 8 counts must pass a
+    # two-sided exact binomial test; Bonferroni alpha, fixed before the run.
+    alpha = 0.01 / 8
+    misses = []
+    for l, n in ((4, 64), (8, 32), (8, 128), (16, 64)):
+        for target in (0.01, 0.1):
+            plan = TrialPlan(n_trials=4096, n=n, l=l, target_pfa=target,
+                             mode=ThresholdMode.DYNAMIC, sigma_s2=0.0, mismatch_db=3.0,
+                             master_seed=11)
+            point = run_point(plan, workers=2)
+            count, theory = round(point.pfa * point.n_effective), theory_dynamic_h0(plan)
+            p_value = binomtest(count, point.n_effective, theory).pvalue
+            if p_value < alpha:
+                misses.append((l, n, target, count, point.n_effective, theory, p_value))
+            if (l, n, target) == (4, 64, 0.1):  # the chi-square tail, 0.105, misses it
+                contrast = binomtest(count, point.n_effective, theory_oracle(plan)[1]).pvalue
+    assert misses == []
+    assert contrast < alpha
+
+
 def test_a_dynamic_plan_runs_whatever_its_static_threshold():
     # Only a STATIC plan needs a finite static threshold; work units once
     # grouped plans by their STATIC twin, which that rule would refuse.
@@ -587,7 +614,8 @@ def test_sweep_derives_each_chunks_states_once(monkeypatch):
         calls.clear()
         curves = sweep_threshold_factor(plan, factors, snrs)
         assert len(calls) == chunks, n_trials
-        assert not harness._trial_states(plan, 0, 1).flags.writeable
+        assert not harness._seeded_states(plan.master_seed, harness._roles(plan), 0,
+                                          1).flags.writeable
         for factor, curve in curves.items():
             assert list(curve.points) == [
                 run_point(replace(plan, sigma_nominal2=factor,

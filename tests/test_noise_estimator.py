@@ -36,7 +36,7 @@ from specsense.noise_estimator import (
     sample_covariance,
     sigma_bounds,
 )
-from specsense.signal_model import SampleFrame, add_awgn, frame, generate_qpsk
+from specsense.signal_model import SampleFrame, _snapshots, add_awgn, frame, generate_qpsk
 
 # Frozen from the adaptive-quadrature oracle (mp_cdf_quad), regenerable
 # with scipy.integrate.quad over the spectral density.
@@ -482,8 +482,8 @@ def test_linear_grid_equals_linspace_bit_for_bit(seed, rows, m, log_scale, zero_
 def test_degenerate_grid_scores_as_a_one_point_grid():
     # at N = 128 the edges map 0.5625 and 1.5625 both to exactly 1.0
     lam = np.array([[1.5625, 1.3, 1.2, 1.1, 1.0, 0.9, 0.7, 0.5625]])
-    k_hat, lo, hi, sigma, scores = _fit_spectra(lam, 128, 100)
-    assert k_hat[0] == 0 and lo[0] == hi[0] == 1.0
+    k_hat, lo, hi, sigma, scores, cause = _fit_spectra(lam, 128, 100)
+    assert k_hat[0] == 0 and lo[0] == hi[0] == 1.0 and cause[0] == 0
     assert sigma[0] == 1.0
     one_point = _fit_scores(lam, 8 / 128, np.array([[1.0]]))
     assert np.array_equal(scores, np.repeat(one_point, 100, axis=1))
@@ -559,16 +559,21 @@ def test_estimate_noise_reports_grid_diagnostics():
     assert est.fit_scores[int(np.argmin(est.fit_scores))] == best
 
 
-def test_estimate_noise_rejects_saturated_rank():
-    # L-1 strong planted components leave too few noise eigenvalues
+def _saturated_frame() -> SampleFrame:
+    """L-1 strong planted components over weak noise, at L=4, N=64."""
     rng = np.random.default_rng(61)
     l, n = 4, 64
     mixing = rng.standard_normal((l, l - 1)) + 1j * rng.standard_normal((l, l - 1))
     symbols = rng.standard_normal((l - 1, n)) + 1j * rng.standard_normal((l - 1, n))
     data = 30.0 * (mixing @ symbols)
     data += add_awgn(np.zeros(l * n, dtype=np.complex128), 1e-4, 62).reshape(l, n)
+    return SampleFrame(data=data)
+
+
+def test_estimate_noise_rejects_saturated_rank():
+    # L-1 strong planted components leave too few noise eigenvalues
     with pytest.raises(EstimationFailure):
-        estimate_noise(SampleFrame(data=data), m_grid=50)
+        estimate_noise(_saturated_frame(), m_grid=50)
 
 
 def test_estimate_noise_rejects_zero_noise_floor():
@@ -578,6 +583,22 @@ def test_estimate_noise_rejects_zero_noise_floor():
     for f in (silent, rank1):
         with pytest.raises(EstimationFailure):
             estimate_noise(f, m_grid=100)
+
+
+def test_each_failure_cause_fails_its_own_row_with_its_own_message():
+    # One stack: a fitted frame, a rank-saturated frame and a zero-floor frame.
+    frames = [_noise_frame(4, 64, 1.0, 7), _saturated_frame(),
+              SampleFrame(data=np.zeros((4, 64), dtype=np.complex128))]
+    got = estimate_noise_batch(np.stack([f.data for f in frames]), m_grid=50)
+    assert got[0] == estimate_noise(frames[0], m_grid=50).sigma_hat2
+    assert np.isnan(got[1:]).all()
+    lam = np.array([eigenvalues_hermitian(sample_covariance(f)).values for f in frames])
+    assert _fit_spectra(lam, 64, 50)[5].tolist() == [0, 1, 2]
+    with pytest.raises(EstimationFailure, match=r"^MDL attributed 3 of 4 eigenvalues to signal$"):
+        estimate_noise(frames[1], m_grid=50)
+    with pytest.raises(EstimationFailure,
+                       match=r"^smallest eigenvalue is zero: no noise floor to fit$"):
+        estimate_noise(frames[2], m_grid=50)
 
 
 def test_estimate_noise_validates_arguments():
@@ -590,11 +611,6 @@ def test_estimate_noise_validates_arguments():
 
 
 # ------------------------------------------------------------ stacked frames
-
-
-def _streams_as_frames(streams: np.ndarray, l: int, n: int) -> np.ndarray:
-    """The (B, L, N) view of B streams that the harness hands the estimator."""
-    return streams.reshape(len(streams), n, l).transpose(0, 2, 1)
 
 
 @settings(derandomize=True, deadline=None)
@@ -621,7 +637,7 @@ def test_batch_rows_equal_single_frame_estimates(seed, l, kinds):
             want.append(estimate_noise(frame(stream, l, n), m_grid=50).sigma_hat2)
         except EstimationFailure:
             want.append(math.nan)
-    got = estimate_noise_batch(_streams_as_frames(streams, l, n), m_grid=50)
+    got = estimate_noise_batch(_snapshots(streams, l, n), m_grid=50)  # the harness's view
     np.testing.assert_array_equal(got, np.array(want))  # bit-equal, NaN where failed
     contiguous = np.stack([frame(stream, l, n).data for stream in streams])
     np.testing.assert_array_equal(estimate_noise_batch(contiguous, m_grid=50), got)

@@ -59,3 +59,12 @@ def test_chart_handles_flat_series():
 def test_chart_rejects_empty_input():
     with pytest.raises(ValueError):
         render_line_chart([], "t", "x", "y")
+
+
+@pytest.mark.parametrize("x", [0.0, 1e17], ids=["zero", "x-plus-one-rounds-back"])
+def test_chart_of_one_point_puts_it_at_the_left_edge(x):
+    # At 1e17, x + 1 == x: the axis once had a zero span and the chart
+    # raised ZeroDivisionError.
+    svg = _chart(series=[Series(label="a", x=(x,), y=(0.5,))])
+    assert '<circle cx="70.00"' in svg
+    assert "nan" not in svg and "inf" not in svg
