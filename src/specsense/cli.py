@@ -162,10 +162,8 @@ def _merge_options(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _validate(o: dict[str, object]) -> None:
-    """The checks :class:`TrialPlan` cannot make, as it sees no pool or --quick.  :func:`_coerce`
-    has refused, under its flag, any text not a finite value of its option's kind."""
-    if o["trials"] < 1:  # --quick would turn 0 into 100
-        raise UsageError(f"trials: must be positive (got {o['trials']})")
+    """The check :class:`TrialPlan` cannot make, as it sees no pool.  :func:`_coerce` has
+    refused, under its flag, any text not a finite value of its option's kind."""
     if o["workers"] < 1:
         raise UsageError(f"workers: must be at least 1 (got {o['workers']})")
 
@@ -195,7 +193,7 @@ def _build_plan(o: dict[str, object], snr: str = "snr") -> TrialPlan:
     on the signal power names."""
     fields = {field: o[key] for field, key in _PLAN_OPTIONS.items()}
     fields.update(  # the fields not set by their option's value alone
-        n_trials=max(100, o["trials"] // 10) if o["quick"] else o["trials"],
+        n_trials=max(100, o["trials"] // 10) if o["quick"] and o["trials"] > 0 else o["trials"],
         mode=ThresholdMode(o["mode"] or "static"),  # a sweep's curves set their own
         sigma_nominal2=o["sigma_w2"] if o["nominal"] is None else o["nominal"],
         sigma_s2=_signal_power(o, snr))
@@ -232,24 +230,24 @@ def _cmd_estimate_noise(command: str, o: dict[str, object]) -> int:
 
 
 def _snr_grid(o: dict[str, object]) -> list[float]:
+    """The points snr-min + i * snr-step, i = 0, 1, ..., none past snr-max."""
     start, stop, step = o["snr_min"], o["snr_max"], o["snr_step"]
     if step <= 0.0:
         raise UsageError(f"snr-step: must be positive (got {o['snr_step']})")
     # No grid value has a wider float spacing than the end of larger
     # magnitude, so a step above half that spacing moves every value on.  A
-    # smaller step can leave a value where it is, and the grid never ends.
+    # smaller step can leave a value where it is, and labels would repeat.
     if step <= math.ulp(max(abs(start), abs(stop))) / 2.0:
         raise UsageError(f"snr-step: too small to advance the grid from snr-min={o['snr_min']} "
                          f"to snr-max={o['snr_max']} (got {o['snr_step']})")
     if stop < start:
         raise UsageError(f"snr-max: must be at least snr-min={o['snr_min']} (got {o['snr_max']})")
+    # The sweep's plan checks snr-max's power too, but only after the grid is
+    # listed: an snr-max of 1e9 would first list 5e8 points.
     for key in ("snr_min", "snr_max"):
         _signal_power(o, key)
-    grid, value = [], start
-    while value <= stop + 1e-9:
-        grid.append(round(value, 12) + 0.0)  # + 0.0: a sum a hair below 0 labels 0.0, not -0.0
-        value += step
-    return grid
+    points = math.floor((stop - start) / step + 1e-9) + 1
+    return [round(start + i * step, 12) + 0.0 for i in range(points)]  # + 0.0: never -0.0
 
 
 def _pfa_grid(o: dict[str, object]) -> list[float]:

@@ -87,8 +87,8 @@ def q_inverse(p: float) -> float:
 def dynamic_threshold(sigma_hat2: float, target_pfa: float, n: int) -> float:
     """Detection threshold for a target false-alarm rate at noise power
     ``sigma_hat2``: ``sigma_hat2 * (Q^-1(pfa) * sqrt(2N) + N)``."""
-    if sigma_hat2 <= 0.0:
-        raise ValueError("sigma_hat2 must be positive")
+    if not 0.0 < sigma_hat2 < math.inf:
+        raise ValueError("sigma_hat2 must be " + ("positive" if sigma_hat2 <= 0.0 else "finite"))
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 < target_pfa < 1.0:
@@ -102,8 +102,9 @@ def static_threshold(nominal_factor: float, target_pfa: float, n: int) -> float:
     Identical in form to :func:`dynamic_threshold`; the factor plays the
     role of the assumed noise variance and is never updated at runtime.
     """
-    if nominal_factor <= 0.0:
-        raise ValueError("nominal_factor must be positive")
+    if not 0.0 < nominal_factor < math.inf:
+        raise ValueError("nominal_factor must be "
+                         + ("positive" if nominal_factor <= 0.0 else "finite"))
     return dynamic_threshold(nominal_factor, target_pfa, n)
 
 
@@ -111,6 +112,8 @@ def decide(statistic: float, threshold: float) -> SensingDecision:
     """Compare statistic against threshold; ties resolve to ABSENT_H0."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
+    if math.isnan(statistic):
+        raise ValueError("statistic must not be NaN")
     verdict = Verdict.PRESENT_H1 if statistic > threshold else Verdict.ABSENT_H0
     return SensingDecision(statistic=statistic, threshold=threshold, verdict=verdict)
 
@@ -123,10 +126,12 @@ def closed_form_pd(
     ``Q((threshold - N*(sigma_w2 + sigma_s2)) / ((sigma_w2 + sigma_s2) * sqrt(2N)))``;
     with ``sigma_s2 = 0`` this reduces to the false-alarm expression.
     """
-    if sigma_w2 <= 0.0:
-        raise ValueError("sigma_w2 must be positive")
-    if sigma_s2 < 0.0:
-        raise ValueError("sigma_s2 must be non-negative")
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
+    if not 0.0 < sigma_w2 < math.inf:
+        raise ValueError("sigma_w2 must be " + ("positive" if sigma_w2 <= 0.0 else "finite"))
+    if not 0.0 <= sigma_s2 < math.inf:
+        raise ValueError("sigma_s2 must be " + ("non-negative" if sigma_s2 < 0.0 else "finite"))
     if n < 1:
         raise ValueError("n must be positive")
     total = sigma_w2 + sigma_s2

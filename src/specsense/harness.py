@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -177,8 +177,6 @@ class TrialPlan:
               "must be at most 2**32, a trial's index is one 32-bit seed word")
         check("l", self.l >= 2, "must be at least 2")
         check("n", self.n >= self.l, f"must be at least l={self.l}")
-        check("n", self.mode is not ThresholdMode.DYNAMIC or self.n > self.l,
-              f"must exceed l={self.l} for a noise estimate")
         check("target_pfa", 0.0 < self.target_pfa < 1.0, "must be strictly between 0 and 1")
         for field in ("sigma_w2_true", "sigma_nominal2", "sigma_s2", "mismatch_db"):
             check(field, math.isfinite(getattr(self, field)), "must be finite")
@@ -196,6 +194,8 @@ class TrialPlan:
               f"too small, a noise power below {_POWER_MIN:.4g} is not estimated exactly")
         check("sigma_nominal2", nominal > 0.0, "must be positive")
         scale, unit = _receiver(self)
+        check("n", scale is not None or self.n > self.l,
+              f"must exceed l={self.l} for a noise estimate")
         check("target_pfa", unit > 0.0,
               f"too large for n={self.n}, the threshold it sets is not positive")
         check("sigma_nominal2", scale is None or math.isfinite(scale * unit),
@@ -579,7 +579,7 @@ def sweep_threshold_factor(
 _CSV_HEADER = "sweep_value,pd,pfa,pd_ci,pfa_ci,mean_sigma_hat2,failed_trials"
 
 
-def write_results(result: SweepResult, destination: str | IO[str]) -> None:
+def write_results(result: SweepResult, destination: str) -> None:
     """Write one sweep curve as CSV.
 
     UTF-8, LF line endings, '.' decimal separator, full-precision floats
@@ -602,9 +602,5 @@ def write_results(result: SweepResult, destination: str | IO[str]) -> None:
                 )
             )
         )
-    payload = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+    with open(destination, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

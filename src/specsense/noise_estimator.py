@@ -240,8 +240,9 @@ def sigma_bounds(
     p = l / n_snapshots
     if not 0.0 < p < 1.0:
         raise ValueError("need more snapshots than rows (L < N)")
-    if lambda_min < 0.0 or lambda_k1 < 0.0:
-        raise ValueError("eigenvalues must be non-negative")
+    if not (0.0 <= lambda_min < math.inf and 0.0 <= lambda_k1 < math.inf):
+        negative = lambda_min < 0.0 or lambda_k1 < 0.0
+        raise ValueError("eigenvalues must be " + ("non-negative" if negative else "finite"))
     lo, hi = _support_bounds(lambda_min, lambda_k1, p)
     return float(lo), float(hi)
 
@@ -303,8 +304,10 @@ def mp_cdf(z: float, p: float, sigma2: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be " + ("positive" if sigma2 <= 0.0 else "finite"))
+    if math.isnan(z):  # z = +-inf is a level, below or above the support
+        raise ValueError("z must not be NaN")
     return float(_mp_cdf_unit(np.array([z / sigma2]), p)[0])
 
 

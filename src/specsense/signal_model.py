@@ -290,8 +290,8 @@ def generate_qpsk(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if sigma_s2 <= 0.0:
-        raise ValueError("sigma_s2 must be positive")
+    if not 0.0 < sigma_s2 < math.inf:
+        raise ValueError("sigma_s2 must be " + ("positive" if sigma_s2 <= 0.0 else "finite"))
     if samples_per_symbol < 1:
         raise ValueError("samples_per_symbol must be >= 1")
     stream = np.empty((1, n_samples), np.complex128)
@@ -313,8 +313,8 @@ def add_awgn(stream: np.ndarray, sigma_w2: float, seed: int) -> np.ndarray:
     Returns:
         a new complex128 array, ``stream + w``.
     """
-    if sigma_w2 <= 0.0:
-        raise ValueError("sigma_w2 must be positive")
+    if not 0.0 < sigma_w2 < math.inf:
+        raise ValueError("sigma_w2 must be " + ("positive" if sigma_w2 <= 0.0 else "finite"))
     stream = np.asarray(stream, dtype=np.complex128)
     w = np.empty((1, stream.size), dtype=np.complex128)
     _fill_awgn(_pcg64_states(seed), [sigma_w2], w)
@@ -366,6 +366,10 @@ def frame(stream: np.ndarray, l: int, n: int) -> SampleFrame:
     stream = np.asarray(stream, dtype=np.complex128)
     if stream.ndim != 1:
         raise ValueError("stream must be 1-D")
+    if l < 2:  # SampleFrame's rules, checked before the slice: numpy reads a negative n as -1
+        raise ValueError("frame needs at least 2 rows")
+    if n < l:
+        raise ValueError("frame needs at least as many columns as rows")
     if stream.size < l * n:
         raise ValueError(f"stream has {stream.size} samples, need {l * n}")
     return SampleFrame(_snapshots(stream, l, n).copy())

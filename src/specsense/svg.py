@@ -33,6 +33,8 @@ class Series:
             raise ValueError("x and y must have the same length")
         if len(self.x) < 1:
             raise ValueError("series must contain at least one point")
+        if not all(map(math.isfinite, (*self.x, *self.y))):
+            raise ValueError("series values must be finite")
 
 
 def _fmt(v: float) -> str:
@@ -71,6 +73,8 @@ def render_line_chart(
         y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not math.isfinite(x_hi - x_lo) or not math.isfinite(y_hi - y_lo):
+        raise ValueError("an axis span, padding included, is not finite")
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

@@ -1,6 +1,8 @@
 """Tests of the command-line front end: parsing, precedence, exit codes."""
 import argparse
 import multiprocessing
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,16 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m specsense.cli: main's code becomes the exit status.
+    monkeypatch.delitem(sys.modules, "specsense.cli")  # runpy warns on a module already imported
+    monkeypatch.setattr("sys.argv", ["specsense", "sense", "--mode", "static"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("specsense.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert "verdict=" in capsys.readouterr().out
 
 
 def test_unknown_flag_exits_two():
@@ -277,6 +289,23 @@ def test_an_snr_grid_through_zero_labels_it_zero(tmp_path, capsys):
     assert labels[11] == "0.0" and not any(label.startswith("-0.0") for label in labels)
 
 
+@pytest.mark.parametrize("grid", [("0", "0", "1e-10"), ("1", "1", "1e-13"), ("-10", "10", "3")],
+                         ids=["step-below-slack", "step-far-below-slack", "stops-short"])
+def test_an_snr_grid_never_passes_snr_max(grid, tmp_path, capsys):
+    # Adding the step until snr-max + 1e-9 once wrote 11 rows, up to 1e-09,
+    # for the first grid, and 10 009 rows of 1 001 labels for the second.
+    start, stop, step = grid
+    out = tmp_path / "g"
+    assert main(["sweep-snr", "--quick", "--trials", "100", "--mode", "static", "--snr-min",
+                 start, "--snr-max", stop, "--snr-step", step, "--out", str(out)]) == 0
+    capsys.readouterr()
+    labels = [float(row.split(",")[0]) for row
+              in (tmp_path / "g_static.csv").read_text().splitlines()[1:]]
+    points = int((float(stop) - float(start)) // float(step)) + 1
+    assert labels == [float(start) + i * float(step) for i in range(points)]
+    assert labels[-1] <= float(stop)
+
+
 def test_unwritable_output_exits_one(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out"
     assert main(["sweep-snr", "--trials", "128", "--mode", "static",
@@ -384,6 +413,8 @@ def test_a_config_key_its_command_does_not_read_keeps_its_default(command, tmp_p
     [(["sense", "--l", "1"], "l: must be at least 2"),
      (["sense", "--n", "4", "--l", "8"], "n: must be at least l=8"),
      (["sweep-snr", "--trials", "0"], "trials: must be positive"),
+     (["sweep-snr", "--quick", "--trials", "0"], "trials: must be positive (got 0)"),
+     (["sweep-snr", "--quick", "--trials", "-5"], "trials: must be positive (got -5)"),
      (["sense", "--m-grid", "1"], "m-grid: must be at least 2"),
      (["sense", "--mismatch-db", "-1"], "mismatch-db: must be non-negative"),
      (["sense", "--sigma-w2", "0"], "sigma-w2: must be positive"),
@@ -419,8 +450,9 @@ def test_a_config_key_its_command_does_not_read_keeps_its_default(command, tmp_p
      (["sweep-pfa", "--pfa-grid", "0.1,1.5"],
       "pfa-grid: must be strictly between 0 and 1 (got 1.5)"),
      (["sweep-pfa", "--pfa-grid", "0.1,nan"], "pfa-grid: must be finite (got nan)")],
-    ids=["l", "n-below-l", "trials", "m-grid", "mismatch-db", "sigma-w2", "nominal", "factor",
-         "snr-step", "snr-max", "seed", "sps", "workers", "nominal-times-factor",
+    ids=["l", "n-below-l", "trials", "trials-quick", "trials-quick-negative", "m-grid",
+         "mismatch-db", "sigma-w2", "nominal", "factor", "snr-step", "snr-max", "seed", "sps",
+         "workers", "nominal-times-factor",
          "factor-times-nominal-overflows", "factor-times-nominal-underflows",
          "factor-ladder-times-nominal", "factor-ladder", "static-threshold-sense", "static-threshold-sweep", "config-mode",
          "config-n", "threshold-not-positive-sense", "threshold-not-positive-sweep-pfa",

@@ -137,6 +137,13 @@ def test_threshold_rejects_bad_args():
         static_threshold(1.0, 1.0, 128)
     with pytest.raises(ValueError):
         static_threshold(1.0, 0.1, 0)
+    # A check written x <= 0 would pass NaN, and inf would give an inf threshold.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="nominal_factor must be finite"):
+            static_threshold(bad, 0.1, 128)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma_hat2 must be"):
+            dynamic_threshold(bad, 0.1, 128)
 
 
 def test_energy_statistic_hand_value():
@@ -193,6 +200,8 @@ def test_decide_tie_resolves_absent():
 def test_decide_rejects_nonfinite_threshold():
     with pytest.raises(ValueError):
         decide(1.0, math.inf)
+    with pytest.raises(ValueError, match="statistic must not be NaN"):
+        decide(math.nan, 1.0)  # NaN > threshold is False: it would read ABSENT_H0
 
 
 def test_closed_form_pfa_inverts_threshold():
@@ -216,6 +225,21 @@ def test_closed_form_pd_monotone_in_snr():
     pds = [closed_form_pd(lam, 128, 1.0, s) for s in (0.05, 0.1, 0.3, 1.0, 3.0)]
     assert all(a < b for a, b in zip(pds, pds[1:]))
     assert pds[-1] > 0.999
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 128, 1.0, 0.5), "threshold must not be NaN"),
+    ((100.0, 128, 0.0, 0.5), "sigma_w2 must be positive"),
+    ((100.0, 128, math.nan, 0.5), "sigma_w2 must be finite"),
+    ((100.0, 128, math.inf, 0.5), "sigma_w2 must be finite"),
+    ((100.0, 128, 1.0, -0.5), "sigma_s2 must be non-negative"),
+    ((100.0, 128, 1.0, math.nan), "sigma_s2 must be finite"),
+    ((100.0, 128, 1.0, math.inf), "sigma_s2 must be finite"),
+    ((100.0, 0, 1.0, 0.5), "n must be positive"),
+])
+def test_closed_form_pd_rejects_bad_args(args, message):
+    with pytest.raises(ValueError, match=message):
+        closed_form_pd(*args)
 
 
 def test_closed_form_pd_at_zero_signal_equals_pfa():

@@ -1,7 +1,6 @@
 """Tests of the Monte Carlo harness: pairing, reductions, CSV output."""
 import concurrent.futures
 import functools
-import io
 import math
 import subprocess
 import sys
@@ -742,7 +741,7 @@ def test_sweep_raises_for_its_first_failing_point(workers):
                 plan, [-20.0, 20.0, 0.0], modes=(ThresholdMode.STATIC,))[ThresholdMode.STATIC]
 
 
-def test_write_results_csv_layout():
+def test_write_results_csv_layout(tmp_path):
     result = SweepResult(
         values=(-2.0,),
         points=(
@@ -757,9 +756,9 @@ def test_write_results_csv_layout():
             ),
         ),
     )
-    buf = io.StringIO()
-    write_results(result, buf)
-    text = buf.getvalue()
+    path = tmp_path / "layout.csv"
+    write_results(result, str(path))
+    text = path.read_bytes().decode("utf-8")
     lines = text.split("\n")
     assert lines[0] == "sweep_value,pd,pfa,pd_ci,pfa_ci,mean_sigma_hat2,failed_trials"
     assert lines[1] == "-2.0,0.5,0.125,0.01,0.02,,0"
@@ -767,12 +766,12 @@ def test_write_results_csv_layout():
     assert "\r" not in text
 
 
-def test_write_results_floats_round_trip():
+def test_write_results_floats_round_trip(tmp_path):
     plan = _static_plan(n_trials=300, n=64, mode=ThresholdMode.DYNAMIC)
     curves = sweep_snr(plan, [-3.0], modes=(ThresholdMode.DYNAMIC,))
-    buf = io.StringIO()
-    write_results(curves[ThresholdMode.DYNAMIC], buf)
-    header, row = buf.getvalue().strip().split("\n")
+    path = tmp_path / "round-trip.csv"
+    write_results(curves[ThresholdMode.DYNAMIC], str(path))
+    header, row = path.read_text(encoding="utf-8").strip().split("\n")
     fields = row.split(",")
     point = curves[ThresholdMode.DYNAMIC].points[0]
     assert float(fields[1]) == point.pd

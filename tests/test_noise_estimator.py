@@ -79,6 +79,10 @@ def test_covariance_matrix_rejects_non_hermitian():
     bad = np.array([[1.0, 2.0], [3.0, 1.0]], dtype=np.complex128)
     with pytest.raises(ValueError):
         CovarianceMatrix(entries=bad, n_snapshots=4)
+    with pytest.raises(ValueError, match="square"):
+        CovarianceMatrix(entries=np.eye(2, 3, dtype=np.complex128), n_snapshots=4)
+    with pytest.raises(ValueError, match="n_snapshots must be positive"):
+        CovarianceMatrix(entries=np.eye(2, dtype=np.complex128), n_snapshots=0)
     # The tolerance is 1e-12 of the largest entry's size (at least 1).
     m = np.array([[2.0, 0.5 + 0.25j], [0.5 - 0.25j, 1.0]])
     for off, accepted in ((1e-13, True), (1e-9, False)):
@@ -255,6 +259,8 @@ def test_mdl_constants_are_shared_read_only():
 def test_mdl_zero_eigenvalues_do_not_crash():
     s = EigenSpectrum(values=(2.0, 1.0, 0.0, 0.0))
     assert 0 <= mdl_signal_count(s, 64) <= 3
+    with pytest.raises(ValueError, match="n_snapshots must be positive"):
+        mdl_signal_count(s, 0)
 
 
 # ------------------------------------------------------------- sigma bounds
@@ -278,6 +284,15 @@ def test_sigma_bounds_swaps_inverted_interval():
 def test_sigma_bounds_rejects_excess_rank():
     with pytest.raises(EstimationFailure):
         sigma_bounds(0.5, 1.0, k_hat=7, l=8, n_snapshots=128)
+    with pytest.raises(ValueError, match="k_hat must be non-negative"):
+        sigma_bounds(0.5, 1.0, k_hat=-1, l=8, n_snapshots=128)
+    with pytest.raises(ValueError, match="need more snapshots than rows"):
+        sigma_bounds(0.5, 1.0, k_hat=1, l=8, n_snapshots=8)
+    for pair, message in (((-0.5, 1.0), "non-negative"), ((0.5, -1.0), "non-negative"),
+                          ((math.nan, 1.0), "finite"), ((0.5, math.nan), "finite"),
+                          ((math.inf, 1.0), "finite"), ((0.5, math.inf), "finite")):
+        with pytest.raises(ValueError, match=f"eigenvalues must be {message}"):
+            sigma_bounds(*pair, k_hat=1, l=8, n_snapshots=128)
 
 
 # ------------------------------------------------------------------ MP CDF
@@ -357,6 +372,13 @@ def test_mp_cdf_rejects_bad_args():
         mp_cdf(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         mp_cdf(1.0, 0.25, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            mp_cdf(1.0, 0.25, bad)
+    with pytest.raises(ValueError, match="z must not be NaN"):
+        mp_cdf(math.nan, 0.25, 1.0)
+    # Infinite levels lie below and above the support.
+    assert mp_cdf(-math.inf, 0.25, 1.0) == 0.0 and mp_cdf(math.inf, 0.25, 1.0) == 1.0
 
 
 @settings(derandomize=True, deadline=None)

@@ -61,6 +61,9 @@ def test_qpsk_rejects_bad_args():
         generate_qpsk(8, -1.0, seed=1)
     with pytest.raises(ValueError):
         generate_qpsk(8, 1.0, seed=1, samples_per_symbol=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma_s2 must be finite"):
+            generate_qpsk(4, bad, seed=1)
 
 
 def test_awgn_moments():
@@ -85,6 +88,9 @@ def test_awgn_adds_to_input():
 def test_awgn_rejects_nonpositive_power():
     with pytest.raises(ValueError):
         add_awgn(np.zeros(4, dtype=np.complex128), 0.0, 1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma_w2 must be finite"):
+            add_awgn(np.zeros(4, dtype=np.complex128), bad, 1)
 
 
 def test_derive_seed_is_deterministic_and_distinct():
@@ -233,6 +239,12 @@ def test_frame_roundtrip_and_truncation():
 def test_frame_rejects_short_stream():
     with pytest.raises(ValueError):
         frame(np.zeros(7, dtype=np.complex128), l=2, n=4)
+    with pytest.raises(ValueError, match="stream must be 1-D"):
+        frame(np.zeros((2, 8), dtype=np.complex128), l=2, n=4)
+    # numpy would read a negative n as -1 and shape 10 samples into 2 x 4 or 2 x 2.
+    for l, n in ((2, -1), (2, -3), (1, 4), (4, 2)):
+        with pytest.raises(ValueError, match="frame needs"):
+            frame(np.zeros(10, dtype=np.complex128), l=l, n=n)
 
 
 def test_sample_frame_validation():
@@ -240,6 +252,8 @@ def test_sample_frame_validation():
         SampleFrame(data=np.zeros((1, 8), dtype=np.complex128))  # l < 2
     with pytest.raises(ValueError):
         SampleFrame(data=np.zeros((8, 4), dtype=np.complex128))  # n < l
+    with pytest.raises(ValueError, match="2-D"):
+        SampleFrame(data=np.zeros(8, dtype=np.complex128))
     bad = np.zeros((2, 4), dtype=np.complex128)
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 """Tests of the dependency-free SVG chart writer."""
+import math
+
 import pytest
 
 from specsense.svg import Series, render_line_chart
@@ -19,6 +21,9 @@ def test_series_validation():
         Series(label="bad", x=(1.0, 2.0), y=(1.0,))
     with pytest.raises(ValueError):
         Series(label="empty", x=(), y=())
+    for x, y in (((math.nan,), (0.5,)), ((0.0,), (math.inf,)), ((0.0, -math.inf), (0.5, 0.5))):
+        with pytest.raises(ValueError, match="finite"):
+            Series(label="non-finite", x=x, y=y)
 
 
 def test_chart_structure():
@@ -59,6 +64,17 @@ def test_chart_handles_flat_series():
 def test_chart_rejects_empty_input():
     with pytest.raises(ValueError):
         render_line_chart([], "t", "x", "y")
+
+
+@pytest.mark.parametrize("x, y", [
+    ((1.7976931348623157e308,), (0.5,)),  # the equal-ends span reaches inf
+    ((-1e308, 1e308), (0.5, 0.5)),
+    ((0.0, 1.0), (0.0, 1.7e308)),  # the padded span overflows
+], ids=["largest-float", "x-span", "y-padding"])
+def test_chart_rejects_an_axis_span_that_is_not_finite(x, y):
+    # Such spans once wrote nan and inf coordinates.
+    with pytest.raises(ValueError, match="axis span"):
+        _chart(series=[Series(label="a", x=x, y=y)])
 
 
 @pytest.mark.parametrize("x", [0.0, 1e17], ids=["zero", "x-plus-one-rounds-back"])
