@@ -64,6 +64,22 @@ for mode in static dynamic; do
     --out smoke_$mode > /dev/null
   cmp smoke_w2_$mode.csv smoke_${mode}_$mode.csv
 done
+# Failed trials.  At 10 dB the first sweep's dynamic row has 1 failed
+# trial; the second sweep's dynamic plan trips the failure guard (exit 1)
+# after writing its completed rows.  The guard's stderr and exit code go
+# to failure-guard.txt, which the base-branch identity step compares.
+for w in 1 2; do
+  run sweep-snr --quick --trials 1000 --l 4 --n 64 --sps 3 --snr-min 10 --snr-max 30 \
+    --snr-step 10 --workers $w --out failed_w$w > /dev/null
+  code=0
+  run sweep-snr --quick --trials 1000 --l 3 --n 32 --sps 2 --snr-min -10 --snr-max 0 \
+    --snr-step 5 --workers $w --out guard_w$w 2>> failure-guard.txt > /dev/null || code=$?
+  echo "workers $w: exit $code" >> failure-guard.txt
+done
+for mode in static dynamic; do
+  cmp failed_w1_$mode.csv failed_w2_$mode.csv
+  cmp guard_w1_$mode.csv guard_w2_$mode.csv
+done
 # Usage errors: each one's arguments, stderr and exit code (2), which the
 # base-branch identity step compares.
 while read -ra args; do

@@ -35,6 +35,12 @@ __all__ = ["main"]
 
 _FACTOR_LADDER = (1.0, 1.5, 2.0, 2.5)
 _ENV_SEED = "SPECSENSE_SEED"
+# The most points an SNR grid may have.  A sweep builds the grid, a plan for
+# each point of each curve and the work units before any trial runs, so a
+# step that is merely small (1e-9 dB across 3 000 dB asks for 3e12 points)
+# would exhaust memory instead of failing.  10 000 points still step 0.01 dB
+# across 100 dB.
+_SNR_POINTS_MAX = 10_000
 
 # Every option: key -> (type, or the tuple of its choices; default; help).
 # The flag is ``--`` plus the key with ``-`` for ``_``, and only the
@@ -247,6 +253,10 @@ def _snr_grid(o: dict[str, object]) -> list[float]:
     for key in ("snr_min", "snr_max"):
         _signal_power(o, key)
     points = math.floor((stop - start) / step + 1e-9) + 1
+    if points > _SNR_POINTS_MAX:
+        raise UsageError(f"snr-step: too small, the grid from snr-min={o['snr_min']} to "
+                         f"snr-max={o['snr_max']} would have {points} points, more than "
+                         f"{_SNR_POINTS_MAX} (got {o['snr_step']})")
     return [round(start + i * step, 12) + 0.0 for i in range(points)]  # + 0.0: never -0.0
 
 

@@ -10,26 +10,26 @@ Trials run in chunks of ``_CHUNK`` and, inside a chunk, in blocks of
 ``_BLOCK``.  A plan is a scenario, what its trials draw, and a receiver,
 which decides a trial against ``scale * unit`` (:func:`_receiver`).  The
 unit of work a worker process takes is one chunk of one scenario with the
-receivers of every plan that shares it, such as the static and the
-dynamic plan of one point of a both-modes sweep, or every plan of a
-``sweep_pfa``: the receivers share the chunk's trials and its noise
-estimates, and every plan of a call shares each chunk's generator
-states (:func:`_run_points` says how units are ordered and pooled).  A
-chunk allocates one stream workspace, a stack of ``2 * _BLOCK`` streams.
-A block writes the H1 and H0 streams of its trials into a leading slice
-of it, holding only what the receivers read (:func:`_synthesize`).
-Synthesis makes no temporary the size of the stack, so blocks do not
-hand such memory back to the system and fault it in again.  A block then
-runs each pipeline stage once over the stack for all the receivers:
-the energy statistics, then, if a receiver scales by it, one stacked blind
-noise estimate (covariance, eigenvalues, MDL split, Marchenko-Pastur fit).
-Each row of a stacked stage is bit-for-bit the single-frame result, and
-the noise estimates are summed trial by trial in trial order, so a
-point's result depends neither on the block size nor on the plans beside
-it.  A call runs all its units before it reduces any plan, so a call
-whose plan trips the failure guard finishes its other units first; the
-caller then raises for the first such plan an error that carries every
-other plan's result.
+receivers of every plan that shares it, such as the static and the dynamic
+plan of one point of a both-modes sweep, or every plan of a ``sweep_pfa``;
+every plan of a call shares each chunk's generator states
+(:func:`_run_points` says how units are ordered and pooled).  A block
+measures and a chunk decides.  A chunk allocates one stream workspace, a
+stack of ``2 * _BLOCK`` streams.  A block writes the H1 and H0 streams of
+its trials into a leading slice of it, holding only what the receivers
+read (:func:`_synthesize`).  Synthesis makes no temporary the size of the
+stack, so blocks do not hand such memory back to the system and fault it
+in again.  The block then runs each pipeline stage once over the stack,
+for all the receivers: the energy statistics, then, if a receiver scales
+by it, one stacked blind noise estimate (covariance, eigenvalues, MDL
+split, Marchenko-Pastur fit).  Each row is bit-for-bit the single-frame
+result.  After its last block, the chunk counts its failed trials and sums
+its noise estimates in trial order, and decides each receiver in one
+comparison over all its trials, so a point's result depends neither on the
+block size nor on the plans beside it.  A call runs all its units before
+it reduces any plan, so a call whose plan trips the failure guard finishes
+its other units first; the caller then raises for the first such plan an
+error that carries every other plan's result.
 """
 from __future__ import annotations
 
@@ -219,7 +219,7 @@ class TrialPlan:
         return self.l if self.samples_per_symbol is None else self.samples_per_symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointResult:
     """Empirical detection/false-alarm rates for one parameter point."""
 
@@ -232,7 +232,7 @@ class PointResult:
     n_effective: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepResult:
     """Rows of (sweep value, point result) for one curve."""
 
@@ -358,41 +358,39 @@ def sense_once(
 def _run_chunk(plan: TrialPlan, receivers: Sequence[tuple[float | None, float]],
                start: int) -> list[_Tally]:
     """Run the chunk of trials from ``start`` of ``plan``'s scenario for each
-    of ``receivers`` (:func:`_receiver`), block by block; one tally each.
-
-    A trial of a receiver whose scale is None, the noise estimate, fails,
-    and counts in neither rate, when the estimate of its H1 or its H0 frame
-    fails.
+    of ``receivers`` (:func:`_receiver`): its blocks measure, and the chunk
+    decides, one tally per receiver.  A trial fails, and counts in neither
+    rate of a receiver whose scale is None, the noise estimate, when the
+    estimate of its H1 or its H0 frame fails.
     """
     stop = min(start + _CHUNK, plan.n_trials)
-    detections = [[0, 0] for _ in receivers]  # per receiver: h1 and h0 detections
-    sigma_sum, estimated = 0.0, 0  # estimated: trials whose two noise estimates both succeeded
-
     # A receiver with a fixed scale reads only the first n real parts of each stream.
     estimates = any(scale is None for scale, _ in receivers)
     n_samples = plan.l * plan.n if estimates else plan.n
     states = _seeded_states(plan.master_seed, _roles(plan), start, stop)
     workspace = np.empty((min(_BLOCK, stop - start), 2, n_samples),
                          np.complex128 if estimates else np.float64)
+    energies = np.empty((stop - start, 2))  # row i: trial start + i's H1 and H0 values
+    sigma = np.empty((stop - start, 2)) if estimates else None
     for first in range(0, stop - start, _BLOCK):
         block = states[first : first + _BLOCK]
         stack = workspace[: len(block)]
         _synthesize(plan, block, stack)
         # Rows 2i and 2i + 1 are the H1 and H0 streams of the block's trial i.
         streams = stack.reshape(-1, n_samples)
-        energies = _energies(streams[:, : plan.n]).reshape(-1, 2)
+        energies[first : first + _BLOCK] = _energies(streams[:, : plan.n]).reshape(-1, 2)
         if estimates:
-            sigma = estimate_noise_batch(_snapshots(streams, plan.l, plan.n),
-                                         plan.m_grid).reshape(-1, 2)
-            ok = ~np.isnan(sigma).any(axis=1)
-            for s1, s0 in sigma[ok].tolist():
-                sigma_sum += s1 + s0
-            estimated += int(np.count_nonzero(ok))
-        for counts, (scale, unit) in zip(detections, receivers):
-            detected = energies[ok] > sigma[ok] * unit if scale is None else energies > scale * unit
-            counts[0] += int(np.count_nonzero(detected[:, 0]))
-            counts[1] += int(np.count_nonzero(detected[:, 1]))
-    failed = stop - start - estimated
+            sigma[first : first + _BLOCK] = estimate_noise_batch(
+                _snapshots(streams, plan.l, plan.n), plan.m_grid).reshape(-1, 2)
+    failed, sigma_sum = 0, 0.0
+    if estimates:
+        lost = np.isnan(sigma).any(axis=1)
+        sigma[lost] = np.inf  # an infinite threshold: a failed trial detects in neither column
+        failed = int(np.count_nonzero(lost))
+        for s1, s0 in sigma[~lost].tolist():  # in trial order, one add at a time
+            sigma_sum += s1 + s0
+    detections = [np.count_nonzero(energies > (sigma if scale is None else scale) * unit,
+                                   axis=0).tolist() for scale, unit in receivers]
     return [(h1, h0, failed, sigma_sum) if scale is None else (h1, h0, 0, 0.0)
             for (h1, h0), (scale, _) in zip(detections, receivers)]
 
@@ -437,7 +435,9 @@ def _run_points(plans: Sequence[TrialPlan],
     pool of at most ``workers`` processes and no more than there are units;
     with one process, in-process.
     """
-    # Key: every field but mode and target_pfa; value: the indices of its plans.
+    # Key: every field but mode and target_pfa; value: the indices of its plans.  It keeps
+    # sigma_nominal2, which no scenario reads, until perfbench keeps a digest per unit, not
+    # each unit's output: dropping the field raised static_sweep's peak_rss_mb 16.6%.
     groups: dict[tuple, list[int]] = {}
     for index, plan in enumerate(plans):
         key = tuple(getattr(plan, f) for f in TrialPlan.__dataclass_fields__

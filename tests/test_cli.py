@@ -306,6 +306,24 @@ def test_an_snr_grid_never_passes_snr_max(grid, tmp_path, capsys):
     assert labels[-1] <= float(stop)
 
 
+@pytest.mark.parametrize(("stop", "step", "points"),
+                         [("3000", "1e-9", 3_000_000_000_001), ("1000", "0.1", 10_001)])
+def test_an_snr_grid_of_too_many_points_exits_two(stop, step, points, tmp_path, capsys):
+    # The first grid passed every check and listed labels until memory ran
+    # out: a MemoryError traceback and exit 1 under a 1.2 GB address-space cap.
+    assert main(["sweep-snr", "--quick", "--mode", "static", "--snr-min", "0", "--snr-max", stop,
+                 "--snr-step", step, "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert f"snr-step: too small, the grid from snr-min=0.0 to snr-max={float(stop)} would " \
+           f"have {points} points, more than {cli._SNR_POINTS_MAX} (got {float(step)})" in err
+    assert "Traceback" not in err and list(tmp_path.glob("never*")) == []
+
+
+def test_an_snr_grid_may_have_the_most_points():
+    grid = cli._snr_grid({"snr_min": 0.0, "snr_max": 999.9, "snr_step": 0.1, "sigma_w2": 1.0})
+    assert len(grid) == cli._SNR_POINTS_MAX and grid[-1] == 999.9
+
+
 def test_unwritable_output_exits_one(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out"
     assert main(["sweep-snr", "--trials", "128", "--mode", "static",

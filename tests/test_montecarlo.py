@@ -1,15 +1,17 @@
 """Tests of the Monte Carlo harness: pairing, reductions, CSV output."""
 import concurrent.futures
+import copy
 import functools
 import math
+import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
@@ -194,6 +196,69 @@ def test_failed_rows_fail_exactly_their_trials(monkeypatch):
     assert harness._run_points([static_plan, plan], workers=1) == ([run_point(static_plan), r],
                                                                    None)
     assert len(calls) == n_calls
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    master_seed=st.integers(0, 2**64),
+    shape=st.sampled_from([(2, 3), (3, 8), (4, 16)]),
+    sigma_s2=st.sampled_from([0.0, 0.5, 4.0]),
+    mismatch_db=st.sampled_from([0.0, 3.0]),
+    n_trials=st.integers(1, harness._CHUNK + 40),
+    nominals=st.lists(st.floats(0.25, 4.0), max_size=3),
+    targets=st.lists(st.floats(0.01, 0.5), max_size=3),
+    cut=st.floats(0.0, 3.0),
+)
+@example(master_seed=7, shape=(3, 8), sigma_s2=0.5, mismatch_db=3.0, n_trials=harness._CHUNK + 5,
+         nominals=[0.5, 2.0], targets=[], cut=3.0)  # static receivers alone: no estimate
+def test_each_receiver_of_a_chunk_is_a_reduction_of_its_trials(
+        master_seed, shape, sigma_s2, mismatch_db, n_trials, nominals, targets, cut):
+    # One unit with static receivers at several nominal powers and dynamic
+    # ones at several targets.  An estimate fails where its frame's first
+    # sample has a real part above cut, as well as where it fails by itself.
+    assume(nominals or targets)
+    l, n = shape
+    plan = TrialPlan(n_trials=n_trials, n=n, l=l, sigma_s2=sigma_s2, mismatch_db=mismatch_db,
+                     master_seed=master_seed)
+    receivers = [harness._receiver(p) for p in
+                 [replace(plan, mode=ThresholdMode.STATIC, sigma_nominal2=s) for s in nominals]
+                 + [replace(plan, target_pfa=t) for t in targets]]
+    trials = []  # per trial: its H1 and H0 energies, and noise estimates (NaN: failed)
+    for trial in range(n_trials):
+        streams = synthesize_pair(plan, trial)[:2]
+        try:
+            sigma = [math.nan if y[0].real > cut
+                     else estimate_noise(frame(y, l, n), plan.m_grid).sigma_hat2 for y in streams]
+        except EstimationFailure:
+            sigma = [math.nan, math.nan]
+        trials.append(([energy_statistic(y[:n]) for y in streams], sigma))
+
+    def reference(scale, unit, chunk):
+        h1 = h0 = failed = 0
+        sigma_sum = 0.0
+        for (e1, e0), (s1, s0) in chunk:
+            if scale is not None:
+                h1, h0 = h1 + (e1 > scale * unit), h0 + (e0 > scale * unit)
+            elif math.isnan(s1 + s0):  # a trial fails when either estimate fails
+                failed += 1
+            else:
+                h1, h0 = h1 + (e1 > s1 * unit), h0 + (e0 > s0 * unit)
+                sigma_sum += s1 + s0
+        return h1, h0, failed, sigma_sum
+
+    real = harness.estimate_noise_batch
+
+    def fails_some_rows(frames, m_grid):
+        sigma = real(frames, m_grid)
+        sigma[frames[:, 0, 0].real > cut] = np.nan
+        return sigma
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "estimate_noise_batch", fails_some_rows)
+        for start in range(0, n_trials, harness._CHUNK):
+            chunk = trials[start : start + harness._CHUNK]
+            assert harness._run_chunk(plan, receivers, start) == [
+                reference(scale, unit, chunk) for scale, unit in receivers]
 
 
 def test_mean_noise_estimate_is_finite_when_its_sum_overflows():
@@ -739,6 +804,21 @@ def test_sweep_raises_for_its_first_failing_point(workers):
         if ThresholdMode.STATIC in modes:
             assert swept.value.curves[ThresholdMode.STATIC] == sweep_snr(
                 plan, [-20.0, 20.0, 0.0], modes=(ThresholdMode.STATIC,))[ThresholdMode.STATIC]
+
+
+def test_results_round_trip_through_pickle_deepcopy_and_replace():
+    point = run_point(_static_plan(n_trials=50, n=64, mode=ThresholdMode.DYNAMIC))
+    result = SweepResult((-2.0,), (point,))
+    for value in (point, result):
+        assert not hasattr(value, "__dict__")  # slots: a kept result holds no dict
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+    with pytest.raises(FrozenInstanceError):
+        point.pd = 0.0
+    changed = replace(point, failed_trials=point.failed_trials + 3)
+    assert changed.failed_trials == point.failed_trials + 3
+    assert replace(changed, failed_trials=point.failed_trials) == point
+    assert replace(result, values=(1.0,)) == SweepResult((1.0,), (point,))
 
 
 def test_write_results_csv_layout(tmp_path):
