@@ -45,7 +45,11 @@ class ThresholdMode(enum.Enum):
 class SensingDecision:
     statistic: float
     threshold: float
-    verdict: Verdict
+
+    @property
+    def verdict(self) -> Verdict:
+        """PRESENT_H1 where the statistic exceeds the threshold; ties are ABSENT_H0."""
+        return Verdict.PRESENT_H1 if self.statistic > self.threshold else Verdict.ABSENT_H0
 
 
 def energy_statistic(samples: np.ndarray) -> float:
@@ -114,8 +118,7 @@ def decide(statistic: float, threshold: float) -> SensingDecision:
         raise ValueError("threshold must be finite")
     if math.isnan(statistic):
         raise ValueError("statistic must not be NaN")
-    verdict = Verdict.PRESENT_H1 if statistic > threshold else Verdict.ABSENT_H0
-    return SensingDecision(statistic=statistic, threshold=threshold, verdict=verdict)
+    return SensingDecision(statistic=statistic, threshold=threshold)
 
 
 def closed_form_pd(

@@ -221,15 +221,41 @@ class TrialPlan:
 
 @dataclass(frozen=True, slots=True)
 class PointResult:
-    """Empirical detection/false-alarm rates for one parameter point."""
+    """What the completed trials of one parameter point counted.
 
-    pd: float
-    pfa: float
-    pd_ci: float
-    pfa_ci: float
+    Attributes:
+        h1_detections / h0_detections: trials that detected under H1 / H0.
+        mean_sigma_hat2: mean noise estimate of the completed trials' H1
+            and H0 frames; None where the receiver estimates no noise.
+        failed_trials: trials whose noise estimate failed.
+        n_effective: completed trials, the denominator of both rates.
+
+    The rates ``pd`` and ``pfa`` and their 99% Wald half-widths ``pd_ci`` and
+    ``pfa_ci`` derive from the counts, so no record holds an interval that
+    disagrees with its rate.
+    """
+
+    h1_detections: int
+    h0_detections: int
     mean_sigma_hat2: float | None
     failed_trials: int
     n_effective: int
+
+    @property
+    def pd(self) -> float:
+        return self.h1_detections / self.n_effective
+
+    @property
+    def pfa(self) -> float:
+        return self.h0_detections / self.n_effective
+
+    @property
+    def pd_ci(self) -> float:
+        return _CI_Z * math.sqrt(self.pd * (1.0 - self.pd) / self.n_effective)
+
+    @property
+    def pfa_ci(self) -> float:
+        return _CI_Z * math.sqrt(self.pfa * (1.0 - self.pfa) / self.n_effective)
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,7 +429,6 @@ def _point_result(plan: TrialPlan, receiver: tuple[float | None, float],
     if failed > 0.01 * plan.n_trials:
         return None
     completed = plan.n_trials - failed
-    pd, pfa = det_h1 / completed, det_h0 / completed
     mean_sigma = None
     if receiver[0] is None:  # it scales by the noise estimate: report their mean
         # A sum that overflows is taken again at 2^-64 scale: exact powers of
@@ -415,8 +440,7 @@ def _point_result(plan: TrialPlan, receiver: tuple[float | None, float],
             if math.isfinite(sigma_sum):
                 break
         mean_sigma = sigma_sum / (2.0 * completed) / scale
-    pd_ci, pfa_ci = (_CI_Z * math.sqrt(p * (1.0 - p) / completed) for p in (pd, pfa))
-    return PointResult(pd=pd, pfa=pfa, pd_ci=pd_ci, pfa_ci=pfa_ci, mean_sigma_hat2=mean_sigma,
+    return PointResult(h1_detections=det_h1, h0_detections=det_h0, mean_sigma_hat2=mean_sigma,
                        failed_trials=failed, n_effective=completed)
 
 

@@ -117,7 +117,8 @@ class NoiseEstimate:
             noise eigenvalues and the Marchenko-Pastur support edges.
         fit_scores: goodness-of-fit value at every grid candidate.
         p_ratio: snapshot shape ratio L / N of the input frame.
-        degenerate_grid: True when the interval collapsed to one point.
+        degenerate_grid: True when the interval collapsed to one point,
+            ``sigma_lo2 == sigma_hi2``.
     """
 
     sigma_hat2: float
@@ -127,7 +128,10 @@ class NoiseEstimate:
     sigma_hi2: float
     fit_scores: tuple[float, ...]
     p_ratio: float
-    degenerate_grid: bool = False
+
+    @property
+    def degenerate_grid(self) -> bool:
+        return self.sigma_lo2 == self.sigma_hi2
 
 
 def _covariances(y: np.ndarray, n: int) -> np.ndarray:
@@ -413,7 +417,7 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
     Marchenko-Pastur fit pipeline and returns the candidate variance with
     the best fit (smallest grid value on ties).  When the bounds coincide,
     every candidate is that point, one score is reported and
-    ``degenerate_grid`` is set.
+    ``degenerate_grid`` is True.
 
     Raises:
         EstimationFailure: when MDL attributes all but one eigenvalue to
@@ -437,7 +441,6 @@ def estimate_noise(frm: SampleFrame, m_grid: int = 100) -> NoiseEstimate:
         sigma_hi2=hi,
         fit_scores=tuple(scores[: 1 if lo == hi else m_grid]),
         p_ratio=l / n,
-        degenerate_grid=lo == hi,
     )
 
 

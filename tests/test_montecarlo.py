@@ -6,12 +6,12 @@ import math
 import pickle
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
@@ -117,6 +117,15 @@ def test_static_point_tracks_closed_forms():
     assert r.mean_sigma_hat2 is None
     assert r.failed_trials == 0
     assert r.n_effective == 4000
+
+
+def test_a_static_point_stores_only_counts():
+    # A sweep's results are kept whole; a static point's record holds no float.
+    curves = sweep_threshold_factor(_static_plan(n_trials=300), (1.0, 1.5), [-4.0, 0.0])
+    for curve in curves.values():
+        for point in curve.points:
+            assert [type(getattr(point, f.name)) for f in fields(point)] == [
+                int, int, type(None), int, int]
 
 
 def test_ci_halfwidth_formula():
@@ -311,12 +320,9 @@ def _reference_point(plan: TrialPlan) -> PointResult:
             det_h0 += decide(energy_statistic(y0[: plan.n]), lam0).verdict is Verdict.PRESENT_H1
         sigma_total += chunk_sum
     completed = plan.n_trials - failed
-    pd, pfa = det_h1 / completed, det_h0 / completed
     return PointResult(
-        pd=pd,
-        pfa=pfa,
-        pd_ci=2.576 * math.sqrt(pd * (1.0 - pd) / completed),
-        pfa_ci=2.576 * math.sqrt(pfa * (1.0 - pfa) / completed),
+        h1_detections=det_h1,
+        h0_detections=det_h0,
         mean_sigma_hat2=sigma_total / (2.0 * completed) if dynamic else None,
         failed_trials=failed,
         n_effective=completed,
@@ -493,8 +499,8 @@ def test_quick_sweeps_static_points_match_exact_theory():
     misses = []
     for plan, point in pairs:
         pd, pfa = theory_static(plan)
-        for name, rate, theory in (("pd", point.pd, pd), ("pfa", point.pfa, pfa)):
-            count = round(rate * point.n_effective)
+        for name, count, theory in (("pd", point.h1_detections, pd),
+                                    ("pfa", point.h0_detections, pfa)):
             p_value = binomtest(count, point.n_effective, theory).pvalue
             if p_value < alpha:
                 misses.append((plan, name, count, theory, p_value))
@@ -533,8 +539,8 @@ def test_acceptance_static_points_match_exact_theory():
     misses = []
     for plan in plans:
         point = run_point(plan)
-        for name, rate, theory in zip(("pd", "pfa"), (point.pd, point.pfa), theory_static(plan)):
-            count = round(rate * point.n_effective)
+        for name, count, theory in zip(("pd", "pfa"), (point.h1_detections, point.h0_detections),
+                                       theory_static(plan)):
             p_value = binomtest(count, point.n_effective, theory).pvalue
             if p_value < alpha:
                 misses.append((plan, name, count, theory, p_value))
@@ -561,9 +567,30 @@ def test_blind_threshold_needs_a_low_rank_signal(sps, snr_db, low_rank):
     point = run_point(plan)
     pd, pfa = theory_oracle(plan)
     trials = point.n_effective
-    below = binomtest(round(point.pd * trials), trials, pd, alternative="less").pvalue
+    below = binomtest(point.h1_detections, trials, pd, alternative="less").pvalue
     assert (below >= alpha) if low_rank else (below < alpha), (point.pd, pd, below)
-    assert binomtest(round(point.pfa * trials), trials, pfa).pvalue >= alpha, (point.pfa, pfa)
+    assert binomtest(point.h0_detections, trials, pfa).pvalue >= alpha, (point.pfa, pfa)
+
+
+def test_a_missed_signal_masks_itself():
+    # Where MDL finds no signal (k_hat = 0), the fit counts the signal as
+    # noise and the threshold rises with it: H1 detections among those
+    # trials fall below the target false-alarm rate.  One-sided exact
+    # binomial test, alpha fixed before the run.
+    alpha = 1e-3
+    plan = TrialPlan(n_trials=4000, n=128, l=8, target_pfa=0.1, mode=ThresholdMode.DYNAMIC,
+                     sigma_s2=power_at_db(1.0, -9.0), mismatch_db=0.0, master_seed=7,
+                     samples_per_symbol=8)
+    missed = detected = 0
+    for trial in range(plan.n_trials):
+        y1, _, _ = synthesize_pair(plan, trial)
+        estimate = estimate_noise(frame(y1, plan.l, plan.n), plan.m_grid)
+        if estimate.k_hat == 0:
+            missed += 1
+            threshold = dynamic_threshold(estimate.sigma_hat2, plan.target_pfa, plan.n)
+            detected += energy_statistic(y1[: plan.n]) > threshold
+    p_value = binomtest(detected, missed, plan.target_pfa, alternative="less").pvalue
+    assert p_value < alpha, (detected, missed, p_value)
 
 
 def test_blind_false_alarm_rate_is_a_beta_tail():
@@ -579,7 +606,7 @@ def test_blind_false_alarm_rate_is_a_beta_tail():
                              mode=ThresholdMode.DYNAMIC, sigma_s2=0.0, mismatch_db=3.0,
                              master_seed=11)
             point = run_point(plan, workers=2)
-            count, theory = round(point.pfa * point.n_effective), theory_dynamic_h0(plan)
+            count, theory = point.h0_detections, theory_dynamic_h0(plan)
             p_value = binomtest(count, point.n_effective, theory).pvalue
             if p_value < alpha:
                 misses.append((l, n, target, count, point.n_effective, theory, p_value))
@@ -814,6 +841,10 @@ def test_results_round_trip_through_pickle_deepcopy_and_replace():
         assert pickle.loads(pickle.dumps(value)) == value
         assert copy.deepcopy(value) == value
     with pytest.raises(FrozenInstanceError):
+        point.h1_detections = 0
+    # pd derives from the counts and is no field.  Python 3.11 raises TypeError
+    # here: with slots, the frozen __setattr__ refers to the class dataclass replaced.
+    with pytest.raises((AttributeError, TypeError)):
         point.pd = 0.0
     changed = replace(point, failed_trials=point.failed_trials + 3)
     assert changed.failed_trials == point.failed_trials + 3
@@ -826,13 +857,11 @@ def test_write_results_csv_layout(tmp_path):
         values=(-2.0,),
         points=(
             PointResult(
-                pd=0.5,
-                pfa=0.125,
-                pd_ci=0.01,
-                pfa_ci=0.02,
+                h1_detections=4,
+                h0_detections=1,
                 mean_sigma_hat2=None,
                 failed_trials=0,
-                n_effective=100,
+                n_effective=8,
             ),
         ),
     )
@@ -841,9 +870,39 @@ def test_write_results_csv_layout(tmp_path):
     text = path.read_bytes().decode("utf-8")
     lines = text.split("\n")
     assert lines[0] == "sweep_value,pd,pfa,pd_ci,pfa_ci,mean_sigma_hat2,failed_trials"
-    assert lines[1] == "-2.0,0.5,0.125,0.01,0.02,,0"
+    # 4 and 1 of 8: pd 0.5 and pfa 0.125, with the half-widths 2.576 * sqrt(p (1 - p) / 8)
+    assert lines[1] == "-2.0,0.5,0.125,0.45537676708413666,0.3012034196353023,,0"
+    assert lines[1].split(",")[3:5] == [repr(2.576 * math.sqrt(0.5 * 0.5 / 8)),
+                                        repr(2.576 * math.sqrt(0.125 * 0.875 / 8))]
     assert text.endswith("\n")
     assert "\r" not in text
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(1, 2**32).flatmap(lambda n: st.tuples(st.integers(0, n), st.integers(0, n),
+                                                      st.just(n))),
+    st.none() | st.floats(min_value=2.0**-1001, max_value=1e300),
+    st.integers(0, 2**32),
+)
+@example((0, 0, 1), None, 0)
+@example((1, 1, 1), 1.0, 0)
+@example((2**32, 0, 2**32), None, 2**32)
+@example((3, 2**31, 2**32), 0.5, 7)
+def test_rates_and_half_widths_derive_from_the_counts(tmp_path, counts, mean, failed):
+    h1, h0, n = counts
+    point = PointResult(h1_detections=h1, h0_detections=h0, mean_sigma_hat2=mean,
+                        failed_trials=failed, n_effective=n)
+    pd, pfa = h1 / n, h0 / n
+    expected = (pd, pfa, 2.576 * math.sqrt(pd * (1.0 - pd) / n),
+                2.576 * math.sqrt(pfa * (1.0 - pfa) / n))
+    derived = (point.pd, point.pfa, point.pd_ci, point.pfa_ci)
+    assert [repr(v) for v in derived] == [repr(v) for v in expected]
+    path = tmp_path / "row.csv"
+    write_results(SweepResult((-2.0,), (point,)), str(path))
+    row = path.read_text(encoding="utf-8").split("\n")[1]
+    assert row == ",".join(["-2.0", *map(repr, expected), "" if mean is None else repr(mean),
+                            str(failed)])
 
 
 def test_write_results_floats_round_trip(tmp_path):

@@ -22,6 +22,7 @@ from specsense.noise_estimator import (
     CovarianceMatrix,
     EigenSpectrum,
     EstimationFailure,
+    NoiseEstimate,
     _fit_scores,
     _fit_spectra,
     _linear_grid,
@@ -509,6 +510,13 @@ def test_degenerate_grid_scores_as_a_one_point_grid():
     assert sigma[0] == 1.0
     one_point = _fit_scores(lam, 8 / 128, np.array([[1.0]]))
     assert np.array_equal(scores, np.repeat(one_point, 100, axis=1))
+
+
+def test_a_record_with_equal_bounds_is_degenerate():
+    record = dict(sigma_hat2=1.0, k_hat=0, beta_hat=0.0, sigma_lo2=1.0, fit_scores=(0.5,),
+                  p_ratio=8 / 128)
+    assert NoiseEstimate(sigma_hi2=1.0, **record).degenerate_grid
+    assert not NoiseEstimate(sigma_hi2=np.nextafter(1.0, 2.0), **record).degenerate_grid
 
 
 # ------------------------------------------------------------ full pipeline
