@@ -64,6 +64,17 @@ for mode in static dynamic; do
     --out smoke_$mode > /dev/null
   cmp smoke_w2_$mode.csv smoke_${mode}_$mode.csv
 done
+# No signal: 10^-400 underflows to a signal power of 0, the CLI's one route
+# to a plan whose H1 streams equal its H0 streams, so Pd equals Pfa.  3 units
+# again, on a pool of 2.
+run sense --snr -4000 > sense-no-signal.txt
+for w in 1 2; do
+  run sweep-snr --quick --trials 3000 --snr-min -4000 --snr-max -4000 --workers $w \
+    --out nosignal_w$w > /dev/null
+done
+for mode in static dynamic; do
+  cmp nosignal_w1_$mode.csv nosignal_w2_$mode.csv
+done
 # Failed trials.  At 10 dB the first sweep's dynamic row has 1 failed
 # trial; the second sweep's dynamic plan trips the failure guard (exit 1)
 # after writing its completed rows.  The guard's stderr and exit code go

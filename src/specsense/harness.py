@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -141,7 +142,8 @@ class TrialPlan:
         sigma_w2_true: true noise power before any per-trial mismatch.
         sigma_nominal2: noise power the static threshold assumes; in STATIC
             mode the threshold it sets must be finite.
-        sigma_s2: primary-user transmit power under H1 (0 disables it).
+        sigma_s2: primary-user transmit power under H1.  At 0, H1 carries a
+            zero-amplitude signal and equals H0.
         master_seed: root of all per-trial substreams.
         m_grid: grid resolution of the blind noise estimator.
         mismatch_db: half-width of the uniform per-trial wander of the true
@@ -172,6 +174,19 @@ class TrialPlan:
             if not ok:
                 raise PlanError(field, f"{message} (got {getattr(self, field)})")
 
+        def integral(value) -> bool:
+            try:
+                operator.index(value)
+            except TypeError:
+                return False
+            return True
+
+        check("mode", isinstance(self.mode, ThresholdMode), "must be a ThresholdMode")
+        for field in ("n_trials", "n", "l", "m_grid", "master_seed"):
+            check(field, integral(getattr(self, field)), "must be an integer")
+        check("samples_per_symbol",
+              self.samples_per_symbol is None or integral(self.samples_per_symbol),
+              "must be an integer or None")
         check("n_trials", self.n_trials >= 1, "must be positive")
         check("n_trials", self.n_trials <= 2**32,
               "must be at most 2**32, a trial's index is one 32-bit seed word")
@@ -287,34 +302,24 @@ def synthesize_pair(plan: TrialPlan, trial: int) -> tuple[np.ndarray, np.ndarray
     paired sample-for-sample.
     """
     streams = np.empty((1, 2, plan.l * plan.n), np.complex128)
-    states = _seeded_states(plan.master_seed, _roles(plan), trial, trial + 1)
+    states = _seeded_states(plan.master_seed, trial, trial + 1)
     sigma_true = _synthesize(plan, states, streams)
     return streams[0, 0], streams[0, 1], sigma_true[0]
 
 
-def _roles(plan: TrialPlan) -> tuple[int, ...]:
-    """The substreams a trial of ``plan`` draws from, in state column order."""
-    roles = (_ROLE_SIGNAL,) if plan.sigma_s2 > 0.0 else ()
-    roles += (_ROLE_NOISE,)
-    if plan.mismatch_db > 0.0:
-        roles += (_ROLE_MISMATCH,)
-    return roles
-
-
 @functools.lru_cache(maxsize=1)
-def _seeded_states(master_seed: int, roles: tuple[int, ...], start: int,
-                   stop: int) -> np.ndarray:
-    """PCG64 state words of the ``roles`` substreams (:func:`_roles`) of trials
+def _seeded_states(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 state words of the signal, noise and wander substreams of trials
     [start, stop), from one seed kernel call (:func:`~specsense.signal_model._column_states`).
 
-    Returns a read-only ``(stop - start, len(roles), 4)`` array: the state
-    ``default_rng(derive_seed(master_seed, trial, role))`` starts in, for
-    every (trial, role).  Plans with the same master seed and roles share
-    these states, so the last result is kept for the next call.
+    Returns a read-only ``(stop - start, 3, 4)`` array, indexed by role: the
+    state ``default_rng(derive_seed(master_seed, trial, role))`` starts in,
+    for every (trial, role).  Every plan of the master seed shares these
+    states, so the last result is kept for the next call.
     """
-    trials = np.repeat(np.arange(start, stop, dtype=np.uint32), len(roles))
-    column = np.tile(np.array(roles, np.uint32), stop - start)
-    states = _column_states(master_seed, trials, column).reshape(stop - start, len(roles), 4)
+    trials = np.repeat(np.arange(start, stop, dtype=np.uint32), 3)
+    roles = np.tile(np.arange(3, dtype=np.uint32), stop - start)  # signal, noise, wander
+    states = _column_states(master_seed, trials, roles).reshape(stop - start, 3, 4)
     states.flags.writeable = False  # every caller shares this one array
     return states
 
@@ -330,20 +335,17 @@ def _synthesize(plan: TrialPlan, states: np.ndarray, out: np.ndarray) -> list[fl
     complex128 stack gets full streams, of ``plan.l * plan.n`` samples.  A
     float64 stack gets what static mode reads, the real parts, and draws no
     imaginary parts: bit for bit the real parts of the full stream's prefix.
+    A plan with no signal gets a zero-amplitude one, so its H1 stream
+    equals its H0 stream.
     """
-    roles = _roles(plan)
-    column = {role: states[:, c] for c, role in enumerate(roles)}
     sigma_true = [plan.sigma_w2_true] * len(states)
     if plan.mismatch_db > 0.0:
-        offsets = _uniforms(column[_ROLE_MISMATCH], plan.mismatch_db)
+        offsets = _uniforms(states[:, _ROLE_MISMATCH], plan.mismatch_db)
         sigma_true = [power_at_db(plan.sigma_w2_true, offset) for offset in offsets]
     h1, h0 = out[:, 0], out[:, 1]
-    _fill_awgn(column[_ROLE_NOISE], sigma_true, h0)
-    if plan.sigma_s2 > 0.0:
-        _fill_qpsk(column[_ROLE_SIGNAL], plan.sigma_s2, plan.sps, h1)
-        h1 += h0
-    else:
-        h1[...] = h0
+    _fill_awgn(states[:, _ROLE_NOISE], sigma_true, h0)
+    _fill_qpsk(states[:, _ROLE_SIGNAL], plan.sigma_s2, plan.sps, h1)
+    h1 += h0
     return sigma_true
 
 
@@ -368,8 +370,11 @@ def sense_once(
     and that estimate (None in static mode).
 
     Raises:
+        ValueError: when ``hypothesis`` is not a :class:`Hypothesis`.
         EstimationFailure: in dynamic mode, when the frame yields no estimate.
     """
+    if not isinstance(hypothesis, Hypothesis):
+        raise ValueError(f"hypothesis must be a Hypothesis (got {hypothesis!r})")
     y1, y0, _ = synthesize_pair(plan, 0)
     stream = y1 if hypothesis is Hypothesis.H1 else y0
     statistic = energy_statistic(stream[: plan.n])
@@ -393,7 +398,7 @@ def _run_chunk(plan: TrialPlan, receivers: Sequence[tuple[float | None, float]],
     # A receiver with a fixed scale reads only the first n real parts of each stream.
     estimates = any(scale is None for scale, _ in receivers)
     n_samples = plan.l * plan.n if estimates else plan.n
-    states = _seeded_states(plan.master_seed, _roles(plan), start, stop)
+    states = _seeded_states(plan.master_seed, start, stop)
     workspace = np.empty((min(_BLOCK, stop - start), 2, n_samples),
                          np.complex128 if estimates else np.float64)
     energies = np.empty((stop - start, 2))  # row i: trial start + i's H1 and H0 values
@@ -451,11 +456,14 @@ def _run_points(plans: Sequence[TrialPlan],
 
     Units run chunk-major: every group's unit for chunk 0, in the order of
     the groups' first plans, then every group's unit for chunk 1, and so
-    on.  A chunk's generator states depend only on the master seed, the
-    roles and the chunk, so consecutive units of one chunk share them
-    (:func:`_seeded_states` keeps its last result): in-process they are
-    derived once for all groups, and a pool worker derives them again only
-    when its next unit starts a new chunk.  The units run on one process
+    on.  Every trial derives its signal, noise and wander states, whether
+    or not its plan reads them, so a chunk's generator states depend only
+    on the master seed and the chunk.  Consecutive units of one chunk share
+    them (:func:`_seeded_states` keeps its last result): in-process they
+    are derived once for all groups, and a pool worker derives them again
+    only when its next unit starts a new chunk.  A plan whose ``sigma_s2``
+    is 0 reads its signal states too: its H1 streams carry a zero-amplitude
+    signal and equal its H0 streams.  The units run on one process
     pool of at most ``workers`` processes and no more than there are units;
     with one process, in-process.
     """

@@ -507,6 +507,11 @@ _PLAN_RULES = [
     ("n_trials", {"n_trials": 2**32 + 1}),
     # Q^-1(0.99) * sqrt(2n) + n < 0 at n = 2: a threshold below every statistic
     ("target_pfa", {"n": 2, "l": 2, "target_pfa": 0.99}),
+    # Values of the wrong kind: a mode's text ran as DYNAMIC, a float count
+    # failed inside numpy.
+    ("mode", {"mode": "static"}), ("mode", {"mode": None}), ("n", {"n": 64.0}),
+    ("l", {"l": 4.0}), ("n_trials", {"n_trials": 10.0}), ("m_grid", {"m_grid": 20.0}),
+    ("samples_per_symbol", {"samples_per_symbol": 2.0}), ("master_seed", {"master_seed": 1.5}),
 ]
 
 

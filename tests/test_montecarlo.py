@@ -90,6 +90,16 @@ def test_trial_plan_validation():
     _static_plan(master_seed=0)
 
 
+def test_a_plan_keeps_the_integers_it_is_given():
+    # Any value operator.index takes is an integer field's value, as given.
+    given = {"n_trials": 300, "n": 64, "l": 4, "m_grid": 20, "master_seed": 7,
+             "samples_per_symbol": 2}
+    plan = _static_plan(**{field: np.int64(value) for field, value in given.items()})
+    for field in given:
+        assert type(getattr(plan, field)) is np.int64, field
+    assert run_point(plan) == run_point(_static_plan(**given))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["sigma_w2_true", "sigma_nominal2", "sigma_s2", "mismatch_db"])
 def test_trial_plan_rejects_non_finite_floats(field, value):
@@ -384,7 +394,7 @@ def test_static_streams_are_real_prefixes_of_full_streams(master_seed, n, sps, s
     plan = _static_plan(n_trials=9, n=n, l=4, sigma_s2=sigma_s2, mismatch_db=mismatch_db,
                         samples_per_symbol=sps, master_seed=master_seed)
     short = np.empty((9, 2, n))
-    states = harness._seeded_states(plan.master_seed, harness._roles(plan), 0, 9)
+    states = harness._seeded_states(plan.master_seed, 0, 9)
     sigma = harness._synthesize(plan, states, short)
     for trial in range(9):
         y1, y0, sigma_true = synthesize_pair(plan, trial)
@@ -404,8 +414,7 @@ def test_synthesize_overwrites_a_stale_workspace(dtype, overrides):
     # a leading slice of it: nothing an earlier block left may show through.
     plan = _static_plan(n_trials=harness._BLOCK + 5, n=40, l=8, mismatch_db=3.0, **overrides)
     n_samples = plan.n if dtype is np.float64 else plan.l * plan.n
-    states = harness._seeded_states(plan.master_seed, harness._roles(plan), harness._BLOCK,
-                                    plan.n_trials)
+    states = harness._seeded_states(plan.master_seed, harness._BLOCK, plan.n_trials)
     stale = np.full((harness._BLOCK, 2, n_samples), np.nan, dtype)
     fresh = np.zeros((len(states), 2, n_samples), dtype)
     sigma = harness._synthesize(plan, states, stale[: len(states)])
@@ -705,8 +714,7 @@ def test_sweep_derives_each_chunks_states_once(monkeypatch):
         calls.clear()
         curves = sweep_threshold_factor(plan, factors, snrs)
         assert len(calls) == chunks, n_trials
-        assert not harness._seeded_states(plan.master_seed, harness._roles(plan), 0,
-                                          1).flags.writeable
+        assert not harness._seeded_states(plan.master_seed, 0, 1).flags.writeable
         for factor, curve in curves.items():
             assert list(curve.points) == [
                 run_point(replace(plan, sigma_nominal2=factor,
@@ -715,6 +723,31 @@ def test_sweep_derives_each_chunks_states_once(monkeypatch):
             ]
     for workers in (2, 3):  # the 300-trial sweep, its chunks spread over a pool
         assert sweep_threshold_factor(plan, factors, snrs, workers=workers) == curves
+
+
+def test_plans_of_one_seed_share_each_chunks_states_whatever_they_draw(monkeypatch):
+    # Every trial derives its signal, noise and wander states, whether or not
+    # its plan reads them: a plan with no signal, one with no wander and one
+    # with both are three groups, and they read the same states of each chunk.
+    real = harness._column_states
+    calls = []
+
+    def counting(master_seed, trials, roles):
+        calls.append(len(trials))
+        return real(master_seed, trials, roles)
+
+    plans = [_static_plan(n_trials=300, sigma_s2=0.0), _static_plan(n_trials=300),
+             _static_plan(n_trials=300, mismatch_db=3.0)]
+    monkeypatch.setattr(harness, "_column_states", counting)
+    harness._seeded_states.cache_clear()
+    points, failure = harness._run_points(plans, 1)
+    assert calls == [3 * 128, 3 * 128, 3 * 44] and failure is None
+    monkeypatch.undo()
+    assert points == [run_point(plan) for plan in plans]
+    for trial in (0, 1, 299):  # the signal's absence leaves the noise draws as they were
+        no_signal, signal = (synthesize_pair(plan, trial) for plan in plans[:2])
+        np.testing.assert_array_equal(no_signal[1], signal[1])
+        np.testing.assert_array_equal(no_signal[0], no_signal[1])
 
 
 def test_sweep_pfa_synthesizes_each_block_once_for_all_targets(monkeypatch):

@@ -48,3 +48,11 @@ def test_sense_once_senses_the_hypothesis_it_is_given():
             assert decision == specsense.decide(decision.statistic, threshold)
         default, _ = specsense.sense_once(plan)
         assert default == specsense.sense_once(plan, specsense.Hypothesis.H1)[0]
+
+
+def test_sense_once_refuses_a_hypothesis_that_is_not_one():
+    # Its text is not the enum: "h1" used to sense the H0 stream.
+    plan = specsense.TrialPlan(n_trials=1, n=64, l=4, sigma_s2=4.0)
+    for hypothesis in ("h1", "H1", None):
+        with pytest.raises(ValueError, match="hypothesis must be a Hypothesis"):
+            specsense.sense_once(plan, hypothesis)
