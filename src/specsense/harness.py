@@ -14,16 +14,18 @@ receivers of every plan that shares it, such as the static and the dynamic
 plan of one point of a both-modes sweep, or every plan of a ``sweep_pfa``;
 every plan of a call shares each chunk's generator states
 (:func:`_run_points` says how units are ordered and pooled).  A block
-measures and a chunk decides.  A chunk allocates one stream workspace, a
-stack of ``2 * _BLOCK`` streams.  A block writes the H1 and H0 streams of
-its trials into a leading slice of it, holding only what the receivers
-read (:func:`_synthesize`).  Synthesis makes no temporary the size of the
-stack, so blocks do not hand such memory back to the system and fault it
-in again.  The block then runs each pipeline stage once over the stack,
-for all the receivers: the energy statistics, then, if a receiver scales
-by it, one stacked blind noise estimate (covariance, eigenvalues, MDL
-split, Marchenko-Pastur fit).  Each row is bit-for-bit the single-frame
-result.  After its last block, the chunk counts its failed trials and sums
+measures and a chunk decides.  Each thread keeps one stream workspace
+across chunks and calls (:func:`_workspace`), a stack of up to ``2 *
+_BLOCK`` streams that only grows.  A block writes the H1 and H0 streams
+of its trials into a leading slice of it, holding only what the receivers
+read (:func:`_synthesize`).  Neither a chunk nor synthesis allocates
+memory the size of the stack, so none is handed back to the system and
+faulted in again: a 512 KiB dynamic stack allocated per chunk cost about
+224 minor page faults a chunk.  The block then runs each pipeline stage
+once over the stack, for all the receivers: the energy statistics, then,
+if a receiver scales by it, one stacked blind noise estimate (covariance,
+eigenvalues, MDL split, Marchenko-Pastur fit).  Each row is bit-for-bit
+the single-frame result.  After its last block, the chunk counts its failed trials and sums
 its noise estimates in trial order, and decides each receiver in one
 comparison over all its trials, so a point's result depends neither on the
 block size nor on the plans beside it.  A call runs all its units before
@@ -36,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -79,12 +82,14 @@ __all__ = [
 
 _CI_Z = 2.576  # two-sided 99% normal quantile
 _CHUNK = 128  # trials per work unit; fixed so reductions never reorder
-# Trials per stacked block, written into one workspace per chunk.  A block
+# Trials per stacked block, written into the thread's workspace.  A block
 # saves per-call overhead.  On a dynamic point at N=128, L=8 (32 streams of
-# 1 024 samples, 512 KiB a block), 16-trial blocks on the workspace ran
-# about 1.28x faster than 8-trial blocks that allocated their own stacks,
-# with peak memory 1% higher; 32-trial blocks took twice the page faults
-# per trial and ran no faster.
+# 1 024 samples, 512 KiB a block), 16-trial blocks ran about 1.28x faster
+# than 8-trial blocks that allocated their own stacks, with peak memory 1%
+# higher.  32-trial blocks, which once faulted twice as often, fault no
+# more since the workspace is kept; in-process (2-CPU x86-64 VM) they read
+# 3.45-3.92 ms a 32-trial unit against 3.69-4.06 ms, not yet confirmed by
+# benchmark pairs.
 _BLOCK = 16
 
 # A plan's tally of one chunk: (h1 detections, h0 detections, failed
@@ -152,8 +157,11 @@ class TrialPlan:
             which keeps each snapshot inside one symbol (rank-1 signal).
 
     A trial runs both hypotheses on paired streams; the one a single
-    decision senses is an argument of :func:`sense_once`.  A field that
-    breaks a rule raises :class:`PlanError` naming that field.
+    decision senses is an argument of :func:`sense_once`.  An integer field
+    keeps the Python int or numpy int64 it is given; a narrower or unsigned
+    numpy integer is refused, since the engine's arithmetic would wrap in
+    it.  A field that breaks a rule raises :class:`PlanError` naming that
+    field.
     """
 
     n_trials: int
@@ -187,6 +195,11 @@ class TrialPlan:
         check("samples_per_symbol",
               self.samples_per_symbol is None or integral(self.samples_per_symbol),
               "must be an integer or None")
+        for field in ("n_trials", "n", "l", "m_grid", "master_seed", "samples_per_symbol"):
+            value = getattr(self, field)
+            check(field, not isinstance(value, np.integer) or value.dtype == np.int64,
+                  "must be a Python int or an int64: the engine's arithmetic wraps in "
+                  "narrower and unsigned numpy integers")
         check("n_trials", self.n_trials >= 1, "must be positive")
         check("n_trials", self.n_trials <= 2**32,
               "must be at most 2**32, a trial's index is one 32-bit seed word")
@@ -349,6 +362,27 @@ def _synthesize(plan: TrialPlan, states: np.ndarray, out: np.ndarray) -> list[fl
     return sigma_true
 
 
+# Per thread: the one buffer :func:`_workspace` views.  numpy drops the GIL
+# inside a block's ufuncs, so a buffer shared between threads would mix
+# their streams.
+_THREAD = threading.local()
+
+
+def _workspace(shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """An uninitialised ``shape`` array of ``dtype`` on the calling thread's
+    buffer, which grows to the largest request and is kept between calls.
+
+    Every call of one thread returns the same memory, so a caller writes
+    everything it reads (:func:`_synthesize` does) and is done with one
+    view before it asks for the next.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    buffer = getattr(_THREAD, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _THREAD.buffer = np.empty(size, np.uint8)
+    return buffer[:size].view(dtype).reshape(shape)
+
+
 def _receiver(plan: TrialPlan) -> tuple[float | None, float]:
     """``(scale, unit)``: ``plan`` detects where the energy statistic exceeds
     ``scale * unit``, bit for bit ``dynamic_threshold(scale, ...)`` since the
@@ -399,8 +433,8 @@ def _run_chunk(plan: TrialPlan, receivers: Sequence[tuple[float | None, float]],
     estimates = any(scale is None for scale, _ in receivers)
     n_samples = plan.l * plan.n if estimates else plan.n
     states = _seeded_states(plan.master_seed, start, stop)
-    workspace = np.empty((min(_BLOCK, stop - start), 2, n_samples),
-                         np.complex128 if estimates else np.float64)
+    workspace = _workspace((min(_BLOCK, stop - start), 2, n_samples),
+                           np.complex128 if estimates else np.float64)
     energies = np.empty((stop - start, 2))  # row i: trial start + i's H1 and H0 values
     sigma = np.empty((stop - start, 2)) if estimates else None
     for first in range(0, stop - start, _BLOCK):
@@ -433,7 +467,7 @@ def _point_result(plan: TrialPlan, receiver: tuple[float | None, float],
     det_h1, det_h0, failed = (sum(t[i] for t in tallies) for i in range(3))
     if failed > 0.01 * plan.n_trials:
         return None
-    completed = plan.n_trials - failed
+    completed = int(plan.n_trials) - failed  # a Python int, whatever integer the plan holds
     mean_sigma = None
     if receiver[0] is None:  # it scales by the noise estimate: report their mean
         # A sum that overflows is taken again at 2^-64 scale: exact powers of

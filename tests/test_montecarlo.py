@@ -6,6 +6,7 @@ import math
 import pickle
 import subprocess
 import sys
+import threading
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -98,6 +99,34 @@ def test_a_plan_keeps_the_integers_it_is_given():
     for field in given:
         assert type(getattr(plan, field)) is np.int64, field
     assert run_point(plan) == run_point(_static_plan(**given))
+
+
+def test_an_int64_trial_count_writes_the_int_plans_csv(tmp_path):
+    # A point's counts are Python ints, so its rates are Python floats whose
+    # repr the CSV writes, not np.float64(...).
+    given = dict(n=64, l=4, m_grid=20, master_seed=7, sigma_s2=0.3)
+    written = []
+    for n_trials in (300, np.int64(300)):
+        curves = sweep_snr(TrialPlan(n_trials=n_trials, **given), [-3.0])
+        for index, curve in enumerate(curves.values()):
+            for field in ("h1_detections", "h0_detections", "failed_trials", "n_effective"):
+                assert type(getattr(curve.points[0], field)) is int, field
+            path = tmp_path / f"{index}.csv"
+            write_results(curve, str(path))
+            written.append(path.read_bytes())
+    assert written[2:] == written[:2]
+
+
+def test_a_plan_refuses_a_numpy_integer_whose_arithmetic_wraps():
+    # n=200 and l=8 as uint8 once passed every rule with l * n wrapped to 64,
+    # then overflowed in synthesis; an unsigned sps overflowed its ceil division.
+    with pytest.raises(harness.PlanError, match="^n: must be a Python int or an int64"):
+        TrialPlan(n_trials=10, n=np.uint8(200), l=np.uint8(8), mode=ThresholdMode.STATIC)
+    for field in ("n_trials", "n", "l", "m_grid", "master_seed", "samples_per_symbol"):
+        for kind in (np.int8, np.int32, np.uint8, np.uint64):
+            with pytest.raises(harness.PlanError) as refused:
+                _static_plan(**{"n": 8, field: kind(8)})
+            assert refused.value.field == field, (field, kind)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -421,6 +450,87 @@ def test_synthesize_overwrites_a_stale_workspace(dtype, overrides):
     assert sigma == harness._synthesize(plan, states, fresh)
     assert not np.isnan(stale[: len(states)]).any()
     assert stale[: len(states)].tobytes() == fresh.tobytes()
+
+
+def _record_stacks(monkeypatch, barrier=None) -> dict[int, list[int]]:
+    """Make ``harness._synthesize`` record, per thread, the address of each
+    stack it fills, and then, given a ``barrier``, wait at it."""
+    addresses: dict[int, list[int]] = {}
+    synthesize = harness._synthesize
+
+    def recording(plan, states, out):
+        sigma = synthesize(plan, states, out)
+        addresses.setdefault(threading.get_ident(), []).append(
+            out.__array_interface__["data"][0])
+        if barrier is not None:
+            barrier.wait()
+        return sigma
+
+    monkeypatch.setattr(harness, "_synthesize", recording)
+    return addresses
+
+
+def test_a_thread_keeps_its_stream_workspace_between_calls(monkeypatch):
+    # The array held between the calls takes the memory that a workspace
+    # freed after the first call would hand back.
+    addresses = _record_stacks(monkeypatch)
+    plan = _static_plan(n_trials=harness._BLOCK, mode=ThresholdMode.DYNAMIC)
+    run_point(plan)
+    held = np.empty((harness._BLOCK, 2, plan.l * plan.n), np.complex128)
+    run_point(plan)
+    [(first, second)] = addresses.values()
+    assert first == second
+    assert held.size  # held until the second call has run
+
+
+def test_threads_get_their_own_stream_workspaces(monkeypatch):
+    # Both threads hold their workspace at the barrier at once.
+    addresses = _record_stacks(monkeypatch, threading.Barrier(2, timeout=60))
+    plan = _static_plan(n_trials=harness._BLOCK, mode=ThresholdMode.DYNAMIC)
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        list(pool.map(run_point, [plan, plan], timeout=120))
+    [(first,), (second,)] = addresses.values()
+    assert first != second
+
+
+def test_threads_running_dynamic_plans_at_once_get_their_sequential_results(monkeypatch):
+    # After each block a thread waits until the others have synthesized
+    # theirs: in a buffer they shared, all but one would then measure another
+    # plan's streams.  More threads than most runners have cores, switching often.
+    plans = [_static_plan(n_trials=2 * harness._BLOCK + 5, n=64, mismatch_db=3.0,
+                          mode=ThresholdMode.DYNAMIC, master_seed=seed) for seed in range(4)]
+    sequential = [run_point(plan) for plan in plans]
+    _record_stacks(monkeypatch, threading.Barrier(len(plans), timeout=60))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(plans)) as pool:
+            assert list(pool.map(run_point, plans, timeout=120)) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_thread_runs_each_plan_as_it_runs_alone():
+    # One thread runs three plans, and after each fills its workspace with
+    # all-ones bytes, NaN as a float: a stream that a block left unwritten
+    # would carry it into the next plan.  The dynamic plan's larger stack of
+    # another dtype grows the workspace, and the static plan then runs on
+    # its prefix.
+    static = _static_plan(n_trials=harness._BLOCK + 5, n=40, mismatch_db=3.0)
+    dynamic = replace(static, n=72, mode=ThresholdMode.DYNAMIC)
+
+    def run_then_poison(plan):
+        result = run_point(plan)
+        harness._THREAD.buffer.fill(0xFF)
+        return result
+
+    def alone(plan):  # on a fresh thread, with a fresh workspace
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            return pool.submit(run_point, plan).result(timeout=120)
+
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        in_turn = list(pool.map(run_then_poison, [static, dynamic, static], timeout=120))
+    assert in_turn == [alone(static), alone(dynamic), alone(static)]
 
 
 def test_sweep_snr_produces_both_modes():
