@@ -20,11 +20,12 @@ _BLOCK`` streams that only grows.  A block writes the H1 and H0 streams
 of its trials into a leading slice of it, holding only what the receivers
 read (:func:`_synthesize`).  Neither a chunk nor synthesis allocates
 memory the size of the stack, so none is handed back to the system and
-faulted in again: a 512 KiB dynamic stack allocated per chunk cost about
-224 minor page faults a chunk.  The block then runs each pipeline stage
-once over the stack, for all the receivers: the energy statistics, then,
-if a receiver scales by it, one stacked blind noise estimate (covariance,
-eigenvalues, MDL split, Marchenko-Pastur fit).  Each row is bit-for-bit
+faulted in again: a dynamic stack allocated per chunk cost about 224
+minor page faults a chunk (512 KiB, at 16-trial blocks, N=128 and L=8).
+The block then runs each pipeline stage once over the stack, for all the
+receivers: the energy statistics, then, if a receiver scales by it, one
+stacked blind noise estimate (covariance, eigenvalues, MDL split,
+Marchenko-Pastur fit).  Each row is bit-for-bit
 the single-frame result.  After its last block, the chunk counts its failed trials and sums
 its noise estimates in trial order, and decides each receiver in one
 comparison over all its trials, so a point's result depends neither on the
@@ -39,7 +40,7 @@ import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -83,14 +84,13 @@ __all__ = [
 _CI_Z = 2.576  # two-sided 99% normal quantile
 _CHUNK = 128  # trials per work unit; fixed so reductions never reorder
 # Trials per stacked block, written into the thread's workspace.  A block
-# saves per-call overhead.  On a dynamic point at N=128, L=8 (32 streams of
-# 1 024 samples, 512 KiB a block), 16-trial blocks ran about 1.28x faster
-# than 8-trial blocks that allocated their own stacks, with peak memory 1%
-# higher.  32-trial blocks, which once faulted twice as often, fault no
-# more since the workspace is kept; in-process (2-CPU x86-64 VM) they read
-# 3.45-3.92 ms a 32-trial unit against 3.69-4.06 ms, not yet confirmed by
-# benchmark pairs.
-_BLOCK = 16
+# saves per-call overhead.  On a dynamic point at N=128, L=8 (64 streams of
+# 1 024 samples, 1 MiB a block), a 32-trial work unit is one block: one
+# synthesis and one stacked estimate.  In 10 alternated 25 s benchmark pairs
+# on a 2-CPU x86-64 VM, 32-trial blocks (with the in-place fit sum) ran
+# dynamic points at 7 156 trials/s against 6 337 at 16, winning all 10, with
+# peak memory 2.5% higher.
+_BLOCK = 32
 
 # A plan's tally of one chunk: (h1 detections, h0 detections, failed
 # trials, sum of noise estimates).
@@ -247,6 +247,19 @@ class TrialPlan:
         return self.l if self.samples_per_symbol is None else self.samples_per_symbol
 
 
+def _refuse_assignment(cls: type) -> type:
+    """Make every assignment to or deletion of an attribute of ``cls`` raise
+    FrozenInstanceError.  With ``slots=True``, the frozen methods that
+    dataclass writes raise TypeError on Python 3.10 and 3.11 for a name that
+    is no field, such as a property: they refer to the class slots replaced."""
+    def refuse(self, name: str, *value) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete {name!r} of a frozen result")
+
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_refuse_assignment
 @dataclass(frozen=True, slots=True)
 class PointResult:
     """What the completed trials of one parameter point counted.
@@ -286,6 +299,7 @@ class PointResult:
         return _CI_Z * math.sqrt(self.pfa * (1.0 - self.pfa) / self.n_effective)
 
 
+@_refuse_assignment
 @dataclass(frozen=True, slots=True)
 class SweepResult:
     """Rows of (sweep value, point result) for one curve."""

@@ -12,12 +12,13 @@ density, so the fit needs no numerical integration.
 The fit scores every candidate of a row's grid at once.  Its cells are laid
 out (rows, noise eigenvalues, candidates), so the division, the CDF and the
 residuals run along contiguous grid rows of ``m_grid`` values rather than
-along the few noise eigenvalues.  Only the sum of each candidate's squared
-residuals goes through a transposed (rows, candidates, eigenvalues) copy,
-which keeps numpy's summation order.  Each row's grid is ``np.linspace`` of
-that row's bounds alone, written out, and ``m_grid`` copies of ``lo`` when
-``lo == hi``.  Every score thus has the bits of the plain broadcast form that
-the test suite keeps as its reference, and depends on its own row only.
+along the few noise eigenvalues.  Each candidate's squared residuals are
+summed over the eigenvalue axis in place, in the order numpy sums a
+contiguous run, so no transposed copy is made.  Each row's grid is
+``np.linspace`` of that row's bounds alone, written out, and ``m_grid``
+copies of ``lo`` when ``lo == hi``.  Every score thus has the bits of the
+plain broadcast form that the test suite keeps as its reference, and
+depends on its own row only.
 
 Every stage works on a stack of frames at once; :func:`estimate_noise_batch`
 runs the whole pipeline over a stack, and :func:`estimate_noise` is the
@@ -135,9 +136,17 @@ class NoiseEstimate:
 
 
 def _covariances(y: np.ndarray, n: int) -> np.ndarray:
-    """Hermitian sample covariances ``(1/N) Y Y^H`` of a (B, L, N) stack."""
-    cov = (y @ y.conj().swapaxes(-1, -2)) / n
-    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))  # remove rounding asymmetry
+    """Hermitian sample covariances ``(1/N) Y Y^H`` of a (B, L, N) stack.
+
+    The conjugate operand of the product is the one temporary the size of
+    the frames; the rest is done in place, each value rounding as in
+    ``0.5 * (C + C^H)`` of ``C = (Y @ Y^H) / N``.
+    """
+    cov = y @ y.conj().swapaxes(-1, -2)
+    cov /= n
+    cov += cov.conj().swapaxes(-1, -2)  # remove rounding asymmetry
+    cov *= 0.5
+    return cov
 
 
 def sample_covariance(frm: SampleFrame) -> CovarianceMatrix:
@@ -338,14 +347,46 @@ def _fit_scores(noise_eigs: np.ndarray, p_eff: float, grid: np.ndarray) -> np.nd
     evaluated over all cells in one pass, laid out (R, M, G) so that the
     division, the CDF and the residuals run along each row's contiguous
     grid rather than along the short eigenvalue axis.  The squared
-    residuals then go through one transposed copy to (R, G, M), so each
-    score is numpy's own sum of a contiguous run of M values.
+    residuals are then summed over the eigenvalue axis in place, in the
+    order numpy sums a contiguous run of M values (:func:`_sum_eigenvalues`).
     """
     empirical = _plotting_positions(noise_eigs)
     residual = _mp_cdf_unit(noise_eigs[:, :, None] / grid[:, None, :], p_eff)
     np.subtract(empirical[:, :, None], residual, out=residual)
     np.square(residual, out=residual)
-    return np.sqrt(np.sum(residual.transpose(0, 2, 1).copy(), axis=-1))
+    return np.sqrt(_sum_eigenvalues(residual))
+
+
+def _sum_eigenvalues(cells: np.ndarray, first: int = 0, n: int | None = None) -> np.ndarray:
+    """Sum non-negative (R, M, G) ``cells`` over the M axis, in place: the
+    ``n`` slices ``cells[:, first : first + n]`` (default: all of them) are
+    added into ``cells[:, first]``, the (R, G) view returned.
+
+    Each sum has the bits of ``np.sum(cells.transpose(0, 2, 1).copy(),
+    axis=-1)``: the adds follow numpy's pairwise summation of a contiguous
+    run of n terms.  Below 8 terms they go one at a time; up to 128, into 8
+    partial sums of every 8th term, added in pairs, then the last n % 8 terms
+    one at a time; above 128, the run splits after n // 2 rounded down to a
+    multiple of 8 terms and its halves are summed so, then added.
+    """
+    n = cells.shape[1] if n is None else n
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _sum_eigenvalues(cells, first, half)
+        total += _sum_eigenvalues(cells, first + half, n - half)
+        return total
+    rest = first + 1
+    if n >= 8:
+        partial = cells[:, first : first + 8]
+        rest = first + n - n % 8
+        for i in range(first + 8, rest, 8):
+            partial += cells[:, i : i + 8]
+        partial[:, 0::2] += partial[:, 1::2]
+        partial[:, 0::4] += partial[:, 2::4]
+        partial[:, 0] += partial[:, 4]
+    for i in range(rest, first + n):
+        cells[:, first] += cells[:, i]
+    return cells[:, first]
 
 
 def _linear_grid(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:

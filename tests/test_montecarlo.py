@@ -246,6 +246,41 @@ def test_failed_rows_fail_exactly_their_trials(monkeypatch):
     assert len(calls) == n_calls
 
 
+def test_a_point_does_not_depend_on_the_block_size(monkeypatch):
+    # Ragged chunks (300 = 2 * 128 + 44 trials) at blocks of one trial, of a
+    # size that divides no chunk, of 16 and 32 trials, and of a whole chunk.
+    wander = dict(n_trials=300, n=32, mismatch_db=3.0)
+    static = _static_plan(**wander)
+    dynamic = _static_plan(mode=ThresholdMode.DYNAMIC, **wander)
+    silent = replace(dynamic, sigma_s2=0.0)
+    # Frames 2t and 2t + 1 are trial t's H1 and H0 frames, counted across
+    # calls: trials 0, 97 and 299 fail, 1% of 300, the guard's limit.
+    failing_frames = (1, 194, 195, 599)
+    real = harness.estimate_noise_batch
+    seen = [0]
+
+    def fails_some_rows(frames, m_grid):
+        sigma = real(frames, m_grid)
+        sigma[[f - seen[0] for f in failing_frames if 0 <= f - seen[0] < len(frames)]] = np.nan
+        seen[0] += len(frames)
+        return sigma
+
+    def results():
+        seen[0] = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "estimate_noise_batch", fails_some_rows)
+            failing = run_point(dynamic)
+        assert failing.failed_trials == 3 and seen[0] == 2 * dynamic.n_trials
+        return (run_point(static), run_point(dynamic), run_point(silent), failing,
+                sweep_snr(replace(dynamic, n_trials=200), [-4.0, 0.0]))
+
+    expected = results()
+    assert expected[2].pd == expected[2].pfa
+    for block in (1, 7, 16, 32, harness._CHUNK):
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        assert results() == expected, block
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(
     master_seed=st.integers(0, 2**64),
@@ -983,16 +1018,25 @@ def test_results_round_trip_through_pickle_deepcopy_and_replace():
         assert not hasattr(value, "__dict__")  # slots: a kept result holds no dict
         assert pickle.loads(pickle.dumps(value)) == value
         assert copy.deepcopy(value) == value
-    with pytest.raises(FrozenInstanceError):
-        point.h1_detections = 0
-    # pd derives from the counts and is no field.  Python 3.11 raises TypeError
-    # here: with slots, the frozen __setattr__ refers to the class dataclass replaced.
-    with pytest.raises((AttributeError, TypeError)):
-        point.pd = 0.0
     changed = replace(point, failed_trials=point.failed_trials + 3)
     assert changed.failed_trials == point.failed_trials + 3
     assert replace(changed, failed_trials=point.failed_trials) == point
     assert replace(result, values=(1.0,)) == SweepResult((1.0,), (point,))
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("point", "h1_detections"), ("point", "pd"), ("point", "extra"),  # field, property, unknown
+    ("sweep", "points"), ("sweep", "extra"),
+])
+def test_every_assignment_to_a_result_raises_frozen_instance_error(kind, name):
+    point = PointResult(1, 2, None, 0, 10)
+    value = point if kind == "point" else SweepResult((-2.0,), (point,))
+    before = replace(value)
+    with pytest.raises(FrozenInstanceError, match=repr(name)):
+        setattr(value, name, 0.5)
+    with pytest.raises(FrozenInstanceError, match=repr(name)):
+        delattr(value, name)
+    assert value == before
 
 
 def test_write_results_csv_layout(tmp_path):

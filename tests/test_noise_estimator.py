@@ -29,6 +29,7 @@ from specsense.noise_estimator import (
     _mdl_constants,
     _mdl_counts,
     _mp_cdf_unit,
+    _sum_eigenvalues,
     eigenvalues_hermitian,
     estimate_noise,
     estimate_noise_batch,
@@ -454,17 +455,23 @@ def test_goodness_of_fit_prefers_true_scale():
 @settings(derandomize=True, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    rows=st.integers(1, 40),
-    m=st.integers(2, 16),
-    g=st.integers(1, 300),
+    rows=st.integers(1, 12),
+    m=st.integers(2, 300),
+    g=st.integers(1, 80),
     p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     log_scale=st.floats(-300.0, 300.0),
     ties=st.booleans(),
 )
+@example(seed=3, rows=5, m=7, g=9, p=0.5, log_scale=0.0, ties=False)
+@example(seed=4, rows=5, m=8, g=9, p=0.5, log_scale=0.0, ties=True)
+@example(seed=5, rows=5, m=128, g=9, p=0.5, log_scale=0.0, ties=False)
+@example(seed=6, rows=5, m=129, g=9, p=0.5, log_scale=0.0, ties=False)
+@example(seed=7, rows=2, m=300, g=3, p=0.5, log_scale=-300.0, ties=True)
 def test_fit_scores_equal_broadcast_reference_bit_for_bit(seed, rows, m, g, p, log_scale, ties):
     # the (R, M, G) layout must give every score the (R, G, M) cube's bits,
-    # at noise scales from 1e-300 to 1e300, with tied and zero eigenvalues;
-    # a candidate scores alone as it does inside its grid
+    # at noise scales from 1e-300 to 1e300, with tied and zero eigenvalues,
+    # across the summation's 8- and 128-term boundaries; a candidate scores
+    # alone as it does inside its grid
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     eigs = rng.uniform(0.0, 3.0, (rows, m))
@@ -479,6 +486,40 @@ def test_fit_scores_equal_broadcast_reference_bit_for_bit(seed, rows, m, g, p, l
         np.array_equal(_fit_scores(eigs, p, grid[:, [i]]), got[:, [i]], equal_nan=True)
         for i in range(g)
     )
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    m=st.integers(1, 300),
+    g=st.integers(1, 12),
+    kinds=st.lists(st.sampled_from(["uniform", "zero", "tied", "subnormal", "huge"]),
+                   min_size=1, max_size=5),
+)
+@example(seed=0, rows=1, m=7, g=1, kinds=["uniform"])
+@example(seed=0, rows=1, m=8, g=1, kinds=["uniform"])
+@example(seed=0, rows=2, m=128, g=3, kinds=["subnormal", "zero"])
+@example(seed=0, rows=2, m=129, g=3, kinds=["huge"])
+@example(seed=0, rows=2, m=299, g=3, kinds=["tied", "huge"])
+def test_sum_eigenvalues_has_numpys_bits_at_every_length(seed, rows, m, g, kinds):
+    # non-negative cells, as squared residuals are, mixed per cell from
+    # uniform draws, zeros, ties, subnormals and values whose sums overflow
+    rng = np.random.default_rng(seed)
+    pools = {
+        "uniform": rng.uniform(0.0, 1.0, (rows, m, g)),
+        "zero": np.zeros((rows, m, g)),
+        "tied": np.full((rows, m, g), 0.1),
+        "subnormal": rng.integers(0, 2**40, (rows, m, g)) * 5e-324,
+        "huge": rng.uniform(0.5, 1.0, (rows, m, g)) * 1.7e308,
+    }
+    choice = rng.integers(0, len(kinds), (rows, m, g))
+    cells = np.choose(choice, [pools[k] for k in kinds])
+    with np.errstate(over="ignore"):
+        expected = np.sum(cells.transpose(0, 2, 1).copy(), axis=-1)
+        got = _sum_eigenvalues(cells)
+    assert got.shape == (rows, g)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @settings(derandomize=True, deadline=None)
