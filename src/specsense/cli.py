@@ -149,22 +149,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_options(args: argparse.Namespace) -> dict[str, object]:
-    """Every option's value, from flag, config file, environment or default.  An
-    option the command does not read keeps its default, even if the config sets it."""
+def _merge_options(args: argparse.Namespace) -> tuple[dict[str, object], dict[str, str]]:
+    """Every option's value, from flag, config file, environment or default, and
+    the name that an error on an option the environment set names instead of its
+    flag.  An option the command does not read keeps its default, even if the
+    config sets it."""
     reads = _COMMANDS[args.command][3]
     merged = {key: default for key, (_, default, _) in _OPTIONS.items()}
     # A bool flag's True or False is a word of _BOOL_WORDS once lower-cased.
     flags = {key: _coerce(key, str(text)) for key, text in vars(args).items()
              if key in reads and text is not None}
+    names = {}
     env_seed = os.environ.get(_ENV_SEED, "")
     if env_seed.strip():  # set but blank is unset
         merged["seed"] = _coerce("seed", env_seed, _ENV_SEED)
-    if "config" in flags:
-        merged.update((key, value) for key, value in _read_config_file(flags["config"]).items()
-                      if key in reads)
-    merged.update(flags)
-    return merged
+        names["seed"] = _ENV_SEED
+    config = _read_config_file(flags["config"]) if "config" in flags else {}
+    for key, value in [*config.items(), *flags.items()]:
+        if key in reads:
+            merged[key] = value
+            names.pop(key, None)
+    return merged, names
 
 
 def _validate(o: dict[str, object]) -> None:
@@ -353,8 +358,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print("specsense: error: a command is required", file=sys.stderr)
         return 2
+    names: dict[str, str] = {}
     try:
-        options = _merge_options(args)
+        options, names = _merge_options(args)
         _validate(options)
         return _COMMANDS[args.command][1](args.command, options)
     # Every handler, and every sweep it calls, builds all its grids and plans
@@ -363,7 +369,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"specsense: error: {exc}", file=sys.stderr)
         return 2
     except PlanError as exc:
-        flag = _PLAN_OPTIONS[exc.field].replace("_", "-")
+        key = _PLAN_OPTIONS[exc.field]
+        flag = names.get(key, key.replace("_", "-"))
         print(f"specsense: error: {flag}: {exc.message}", file=sys.stderr)
         return 2
     except (RuntimeError, OSError, ValueError) as exc:  # EstimationFailure included

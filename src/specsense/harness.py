@@ -6,33 +6,36 @@ and any subset of sweep points.  Detection counts are integers and the
 per-chunk diagnostics are reduced in fixed chunk order, which keeps CSV
 output byte-identical across reruns.
 
-Trials run in chunks of ``_CHUNK`` and, inside a chunk, in blocks of
-``_BLOCK``.  A plan is a scenario, what its trials draw, and a receiver,
-which decides a trial against ``scale * unit`` (:func:`_receiver`).  The
-unit of work a worker process takes is one chunk of one scenario with the
-receivers of every plan that shares it, such as the static and the dynamic
-plan of one point of a both-modes sweep, or every plan of a ``sweep_pfa``;
-every plan of a call shares each chunk's generator states
-(:func:`_run_points` says how units are ordered and pooled).  A block
-measures and a chunk decides.  Each thread keeps one stream workspace
-across chunks and calls (:func:`_workspace`), a stack of up to ``2 *
-_BLOCK`` streams that only grows.  A block writes the H1 and H0 streams
-of its trials into a leading slice of it, holding only what the receivers
-read (:func:`_synthesize`).  Neither a chunk nor synthesis allocates
-memory the size of the stack, so none is handed back to the system and
-faulted in again: a dynamic stack allocated per chunk cost about 224
-minor page faults a chunk (512 KiB, at 16-trial blocks, N=128 and L=8).
-The block then runs each pipeline stage once over the stack, for all the
-receivers: the energy statistics, then, if a receiver scales by it, one
-stacked blind noise estimate (covariance, eigenvalues, MDL split,
-Marchenko-Pastur fit).  Each row is bit-for-bit
-the single-frame result.  After its last block, the chunk counts its failed trials and sums
-its noise estimates in trial order, and decides each receiver in one
-comparison over all its trials, so a point's result depends neither on the
-block size nor on the plans beside it.  A call runs all its units before
-it reduces any plan, so a call whose plan trips the failure guard finishes
-its other units first; the caller then raises for the first such plan an
-error that carries every other plan's result.
+Trials run in chunks of ``_CHUNK`` and, inside a chunk, in blocks of as
+many trials as fill ``_BLOCK_BYTES`` with their streams, at least
+``_BLOCK`` and at most the chunk (:func:`_block_trials`).  A plan is a
+scenario, what its trials draw, and a receiver, which decides a trial
+against ``scale * unit`` (:func:`_receiver`).  The unit of work a worker
+process takes is one chunk of one scenario with the receivers of every
+plan that shares it, such as the static and the dynamic plan of one point
+of a both-modes sweep, or every plan of a ``sweep_pfa``; every plan of a
+call shares each chunk's generator states (:func:`_run_points` says how
+units are ordered and pooled).  A block measures and a chunk decides.
+Each thread keeps one stream workspace across chunks and calls
+(:func:`_workspace`), one block's stack of streams, which only grows: to
+at most ``_BLOCK_BYTES``, or the ``2 * _BLOCK`` streams of the smallest
+block where those are larger.  A block writes the H1 and H0 streams of its
+trials into a leading slice of it, holding only what the receivers read
+(:func:`_synthesize`).  Neither a chunk nor synthesis allocates memory the
+size of the stack, so none is handed back to the system and faulted in
+again: a dynamic stack allocated per chunk cost about 224 minor page
+faults a chunk (512 KiB, at 16-trial blocks, N=128 and L=8).  The block
+then runs each pipeline stage once over the stack, for all the receivers:
+the energy statistics, then, if a receiver scales by it, one stacked blind
+noise estimate (covariance, eigenvalues, MDL split, Marchenko-Pastur fit).
+Each row is bit-for-bit the single-frame result.  After its last block,
+the chunk counts its failed trials and sums its noise estimates in trial
+order, and decides each receiver in one comparison over all its trials, so
+a point's result depends neither on the block size nor on the plans beside
+it.  A call runs all its units before it reduces any plan, so a call whose
+plan trips the failure guard finishes its other units first; the caller
+then raises for the first such plan an error that carries every other
+plan's result.
 """
 from __future__ import annotations
 
@@ -83,14 +86,18 @@ __all__ = [
 
 _CI_Z = 2.576  # two-sided 99% normal quantile
 _CHUNK = 128  # trials per work unit; fixed so reductions never reorder
-# Trials per stacked block, written into the thread's workspace.  A block
-# saves per-call overhead.  On a dynamic point at N=128, L=8 (64 streams of
-# 1 024 samples, 1 MiB a block), a 32-trial work unit is one block: one
-# synthesis and one stacked estimate.  In 10 alternated 25 s benchmark pairs
-# on a 2-CPU x86-64 VM, 32-trial blocks (with the in-place fit sum) ran
-# dynamic points at 7 156 trials/s against 6 337 at 16, winning all 10, with
-# peak memory 2.5% higher.
+# A block, written into the thread's workspace, holds as many trials as fit
+# their streams in _BLOCK_BYTES, but never fewer than _BLOCK nor more than a
+# chunk (:func:`_block_trials`).  A block saves per-call overhead.  On a
+# dynamic point at N=128, L=8 (64 streams of 1 024 samples, 1 MiB a block), a
+# 32-trial work unit is one block: one synthesis and one stacked estimate.
+# In 10 alternated 25 s benchmark pairs on a 2-CPU x86-64 VM, 32-trial blocks
+# (with the in-place fit sum) ran dynamic points at 7 156 trials/s against
+# 6 337 at 16, winning all 10, with peak memory 2.5% higher.  A static chunk
+# at N <= 512 is one block.  The floor holds at large N: dynamic 2-trial
+# blocks at N=2048 ran 6-12% slower than 32-trial ones.
 _BLOCK = 32
+_BLOCK_BYTES = 2**20
 
 # A plan's tally of one chunk: (h1 detections, h0 detections, failed
 # trials, sum of noise estimates).
@@ -385,6 +392,8 @@ _THREAD = threading.local()
 def _workspace(shape: tuple[int, ...], dtype: type) -> np.ndarray:
     """An uninitialised ``shape`` array of ``dtype`` on the calling thread's
     buffer, which grows to the largest request and is kept between calls.
+    :func:`_run_chunk` asks for one block's stack, so the buffer stays within
+    ``_BLOCK_BYTES``, or a ``_BLOCK``-trial stack where that is larger.
 
     Every call of one thread returns the same memory, so a caller writes
     everything it reads (:func:`_synthesize` does) and is done with one
@@ -434,6 +443,14 @@ def sense_once(
     return decide(statistic, scale * unit), estimate
 
 
+def _block_trials(n_samples: int, dtype: type) -> int:
+    """Trials per block of a chunk whose streams hold ``n_samples`` values of
+    ``dtype`` each: as many as fill ``_BLOCK_BYTES`` with their H1 and H0
+    streams, at least ``_BLOCK`` and at most ``_CHUNK``."""
+    fit = _BLOCK_BYTES // (2 * n_samples * np.dtype(dtype).itemsize)
+    return min(_CHUNK, max(_BLOCK, fit))
+
+
 def _run_chunk(plan: TrialPlan, receivers: Sequence[tuple[float | None, float]],
                start: int) -> list[_Tally]:
     """Run the chunk of trials from ``start`` of ``plan``'s scenario for each
@@ -446,20 +463,21 @@ def _run_chunk(plan: TrialPlan, receivers: Sequence[tuple[float | None, float]],
     # A receiver with a fixed scale reads only the first n real parts of each stream.
     estimates = any(scale is None for scale, _ in receivers)
     n_samples = plan.l * plan.n if estimates else plan.n
+    dtype = np.complex128 if estimates else np.float64
+    size = _block_trials(n_samples, dtype)
     states = _seeded_states(plan.master_seed, start, stop)
-    workspace = _workspace((min(_BLOCK, stop - start), 2, n_samples),
-                           np.complex128 if estimates else np.float64)
+    workspace = _workspace((min(size, stop - start), 2, n_samples), dtype)
     energies = np.empty((stop - start, 2))  # row i: trial start + i's H1 and H0 values
     sigma = np.empty((stop - start, 2)) if estimates else None
-    for first in range(0, stop - start, _BLOCK):
-        block = states[first : first + _BLOCK]
+    for first in range(0, stop - start, size):
+        block = states[first : first + size]
         stack = workspace[: len(block)]
         _synthesize(plan, block, stack)
         # Rows 2i and 2i + 1 are the H1 and H0 streams of the block's trial i.
         streams = stack.reshape(-1, n_samples)
-        energies[first : first + _BLOCK] = _energies(streams[:, : plan.n]).reshape(-1, 2)
+        energies[first : first + size] = _energies(streams[:, : plan.n]).reshape(-1, 2)
         if estimates:
-            sigma[first : first + _BLOCK] = estimate_noise_batch(
+            sigma[first : first + size] = estimate_noise_batch(
                 _snapshots(streams, plan.l, plan.n), plan.m_grid).reshape(-1, 2)
     failed, sigma_sum = 0, 0.0
     if estimates:

@@ -371,8 +371,8 @@ def test_every_option_resolves_alike_from_flag_and_config(command, tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("\n".join(lines) + "\n")
     parser = cli._build_parser()
-    from_flags = cli._merge_options(parser.parse_args(argv))
-    from_config = cli._merge_options(parser.parse_args([command, "--config", str(cfg)]))
+    from_flags, _ = cli._merge_options(parser.parse_args(argv))
+    from_config, _ = cli._merge_options(parser.parse_args([command, "--config", str(cfg)]))
     for key in keys:
         want = _sample(cli._OPTIONS[key][0])[1]
         assert from_flags[key] == from_config[key] == want, key
@@ -419,7 +419,7 @@ def test_a_config_key_its_command_does_not_read_keeps_its_default(command, tmp_p
     keys = [key for key in cli._OPTIONS if key != "config"]
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("".join(f"{key} = {_sample(cli._OPTIONS[key][0])[0]}\n" for key in keys))
-    got = cli._merge_options(cli._build_parser().parse_args([command, "--config", str(cfg)]))
+    got, _ = cli._merge_options(cli._build_parser().parse_args([command, "--config", str(cfg)]))
     for key in keys:
         kind, default, _ = cli._OPTIONS[key]
         assert got[key] == (_sample(kind)[1] if key.replace("_", "-") in _TAKES[command]
@@ -608,6 +608,24 @@ def test_bad_text_fails_alike_from_every_source_and_names_the_flag(
         monkeypatch.setenv("SPECSENSE_SEED", text)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"specsense: error: {message}\n"
+
+
+@pytest.mark.parametrize(("source", "name"), [("env", "SPECSENSE_SEED"), ("config", "seed"),
+                                              ("flag", "seed")])
+def test_a_seed_that_breaks_a_plan_rule_names_its_source(source, name, tmp_path, capsys,
+                                                         monkeypatch):
+    # An environment seed of -1 was blamed on a --seed flag nobody set.  A
+    # config line or flag overrides a valid environment seed.
+    monkeypatch.setenv("SPECSENSE_SEED", "-1" if source == "env" else "5")
+    argv = ["sense"]
+    if source == "config":
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = -1\n")
+        argv += ["--config", str(cfg)]
+    elif source == "flag":
+        argv += ["--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"specsense: error: {name}: must be non-negative (got -1)\n"
 
 
 # Each command with a negative value after its flag, in forms argparse alone

@@ -206,17 +206,26 @@ def test_excessive_estimation_failures_abort(monkeypatch):
         run_point(plan)
 
 
+def _block_layout(n_trials: int, size: int) -> list[int]:
+    """The trials of each block, in run order, of a plan of ``n_trials`` whose
+    chunks run in blocks of ``size`` trials (``harness._block_trials``)."""
+    return [min(size, stop - first)
+            for start in range(0, n_trials, harness._CHUNK)
+            for stop in [min(start + harness._CHUNK, n_trials)]
+            for first in range(start, stop, size)]
+
+
 def test_failed_rows_fail_exactly_their_trials(monkeypatch):
     plan = _static_plan(mode=ThresholdMode.DYNAMIC, n_trials=600, mismatch_db=3.0)
-    blocks_per_chunk = harness._CHUNK // harness._BLOCK
-    full_chunks, last_chunk = divmod(plan.n_trials, harness._CHUNK)
-    n_calls = full_chunks * blocks_per_chunk + -(-last_chunk // harness._BLOCK)
-    last_block = last_chunk % harness._BLOCK or harness._BLOCK
+    size = harness._block_trials(plan.l * plan.n, np.complex128)
+    blocks_per_chunk = -(-harness._CHUNK // size)
+    blocks = _block_layout(plan.n_trials, size)
+    n_calls, last_block = len(blocks), blocks[-1]
     # block call -> rows whose estimate fails; rows 2i and 2i + 1 hold the
     # H1 and H0 frames of the block's trial i.  The last two calls fail the
     # last row of a full block and of the short last block.
     plan_of_failures = {0: (1,), 3: (2, 3), 9: (0, 7),
-                        n_calls - 2: (2 * harness._BLOCK - 1,), n_calls - 1: (2 * last_block - 1,)}
+                        n_calls - 2: (2 * size - 1,), n_calls - 1: (2 * last_block - 1,)}
     real = harness.estimate_noise_batch
     calls = []
 
@@ -228,12 +237,13 @@ def test_failed_rows_fail_exactly_their_trials(monkeypatch):
 
     def trial_of(call, row):
         chunk, block = divmod(call, blocks_per_chunk)
-        return chunk * harness._CHUNK + block * harness._BLOCK + row // 2
+        return chunk * harness._CHUNK + block * size + row // 2
 
     monkeypatch.setattr(harness, "estimate_noise_batch", fails_some_rows)
     r = run_point(plan)
     failing_trials = {trial_of(call, row) for call, rows in plan_of_failures.items() for row in rows}
-    assert calls == [2 * harness._BLOCK] * (n_calls - 1) + [2 * last_block]
+    assert calls == [2 * trials for trials in blocks]
+    assert blocks == [size] * (n_calls - 1) + [last_block]
     assert max(failing_trials) == plan.n_trials - 1
     assert r.failed_trials == len(failing_trials) == 6  # 1% of 600: the guard's limit
     assert r.n_effective == plan.n_trials - 6
@@ -248,9 +258,13 @@ def test_failed_rows_fail_exactly_their_trials(monkeypatch):
 
 def test_a_point_does_not_depend_on_the_block_size(monkeypatch):
     # Ragged chunks (300 = 2 * 128 + 44 trials) at blocks of one trial, of a
-    # size that divides no chunk, of 16 and 32 trials, and of a whole chunk.
+    # size that divides no chunk, of 16 and 32 trials, and of a whole chunk,
+    # with _BLOCK_BYTES at 0 so that _BLOCK alone sets them; then under the
+    # rule itself, which runs the plans at n=32 as one block a chunk and the
+    # static plan at n=1024 in 64-trial blocks.
     wander = dict(n_trials=300, n=32, mismatch_db=3.0)
     static = _static_plan(**wander)
+    long = replace(static, n=1024)
     dynamic = _static_plan(mode=ThresholdMode.DYNAMIC, **wander)
     silent = replace(dynamic, sigma_s2=0.0)
     # Frames 2t and 2t + 1 are trial t's H1 and H0 frames, counted across
@@ -265,20 +279,34 @@ def test_a_point_does_not_depend_on_the_block_size(monkeypatch):
         seen[0] += len(frames)
         return sigma
 
+    synthesize = harness._synthesize
+    blocks = {}  # (samples a stream, dtype) -> the trials of each block
+
+    def recording(plan, states, out):
+        blocks.setdefault((out.shape[-1], out.dtype.type), []).append(len(states))
+        return synthesize(plan, states, out)
+
     def results():
         seen[0] = 0
+        blocks.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "estimate_noise_batch", fails_some_rows)
             failing = run_point(dynamic)
         assert failing.failed_trials == 3 and seen[0] == 2 * dynamic.n_trials
-        return (run_point(static), run_point(dynamic), run_point(silent), failing,
-                sweep_snr(replace(dynamic, n_trials=200), [-4.0, 0.0]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_synthesize", recording)
+            return (run_point(static), run_point(long), run_point(dynamic), run_point(silent),
+                    failing, sweep_snr(replace(dynamic, n_trials=200), [-4.0, 0.0]))
 
     expected = results()
-    assert expected[2].pd == expected[2].pfa
+    assert expected[3].pd == expected[3].pfa
+    assert {key: max(sizes) for key, sizes in blocks.items()} == {
+        (32, np.float64): 128, (1024, np.float64): 64, (256, np.complex128): 128}
+    monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)
     for block in (1, 7, 16, 32, harness._CHUNK):
         monkeypatch.setattr(harness, "_BLOCK", block)
         assert results() == expected, block
+        assert {max(sizes) for sizes in blocks.values()} == {block}
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -404,9 +432,11 @@ def _reference_point(plan: TrialPlan) -> PointResult:
 
 
 def _assert_equals_reference(mode, l, **overrides):
-    # 1: one trial; 7, 8, 9 and _BLOCK - 1, _BLOCK, _BLOCK + 1: around one
+    # 1: one trial; 7, 8, 9 and block - 1, block, block + 1: around one
     # block; 37: a ragged last block; 130: two chunks
-    block = harness._BLOCK
+    dynamic = mode is ThresholdMode.DYNAMIC
+    block = harness._block_trials(16 * l * (l if dynamic else 1),
+                                  np.complex128 if dynamic else np.float64)
     for n_trials in sorted({1, 7, 8, 9, block - 1, block, block + 1, 37, 130}):
         plan = _static_plan(
             n_trials=n_trials, n=16 * l, l=l, mode=mode, mismatch_db=3.0,
@@ -545,6 +575,35 @@ def test_threads_running_dynamic_plans_at_once_get_their_sequential_results(monk
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize(("mode", "l", "n", "rows"), [
+    (ThresholdMode.STATIC, 8, 128, 128), (ThresholdMode.STATIC, 8, 1024, 64),
+    (ThresholdMode.STATIC, 8, 2048, 32), (ThresholdMode.DYNAMIC, 6, 32, 128),
+    (ThresholdMode.DYNAMIC, 8, 128, 32), (ThresholdMode.DYNAMIC, 8, 2048, 32)],
+    ids=["static-128", "static-1024", "static-2048", "complex-192", "complex-1024",
+         "complex-16384"])
+def test_a_chunk_asks_for_a_bounded_workspace(mode, l, n, rows, monkeypatch):
+    # A block holds as many trials as fill 1 MiB with their streams, at least
+    # 32 and at most a chunk: a static chunk at n=128 is one block, and a
+    # dynamic point at L=8, N=128 keeps its 32-trial stack of 1 MiB.
+    requests = []
+    workspace = harness._workspace
+
+    def recording(shape, dtype):
+        requests.append((shape, dtype))
+        return workspace(shape, dtype)
+
+    monkeypatch.setattr(harness, "_workspace", recording)
+    plan = _static_plan(n_trials=harness._CHUNK, n=n, l=l, mode=mode)
+    harness._run_chunk(plan, [harness._receiver(plan)], 0)
+    dynamic = mode is ThresholdMode.DYNAMIC
+    n_samples, itemsize = (l * n, 16) if dynamic else (n, 8)
+    [(shape, dtype)] = requests
+    assert shape == (rows, 2, n_samples)
+    assert dtype is (np.complex128 if dynamic else np.float64)
+    assert rows == harness._block_trials(n_samples, dtype)
+    assert rows * 2 * n_samples * itemsize <= max(2**20, 32 * 2 * n_samples * itemsize)
+
+
 def test_a_thread_runs_each_plan_as_it_runs_alone():
     # One thread runs three plans, and after each fills its workspace with
     # all-ones bytes, NaN as a float: a stream that a block left unwritten
@@ -625,7 +684,7 @@ def test_sweep_snr_rejects_an_snr_whose_signal_power_overflows():
 def _quick_static_points() -> list[tuple[TrialPlan, PointResult]]:
     """Each static point of the default ``--quick`` sweep-snr, sweep-pfa and
     sweep-factor, with the plan it ran, from the plan the CLI builds."""
-    o = cli._merge_options(cli._build_parser().parse_args(["sweep-snr", "--quick"]))
+    o, _ = cli._merge_options(cli._build_parser().parse_args(["sweep-snr", "--quick"]))
     plan, snrs = cli._build_plan(o), cli._snr_grid(o)
     static = ThresholdMode.STATIC
 
@@ -911,7 +970,9 @@ def test_sweep_pfa_synthesizes_each_block_once_for_all_targets(monkeypatch):
                         mismatch_db=3.0)
     targets = [0.05, 0.1, 0.2]
     curves = sweep_pfa(plan, targets)
-    assert blocks == [harness._BLOCK] * (harness._CHUNK // harness._BLOCK + 1) + [1]
+    # Both modes: each block holds the complex streams the estimate reads.
+    assert blocks == _block_layout(plan.n_trials,
+                                   harness._block_trials(plan.l * plan.n, np.complex128))
     for mode, curve in curves.items():
         assert list(curve.points) == [run_point(replace(plan, mode=mode, target_pfa=target))
                                       for target in targets]
